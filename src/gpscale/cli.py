@@ -17,17 +17,9 @@ from .problems import ProblemSpec, evaluate, express, order_problem, trap_proble
 from .trees import default_max_depth, inorder_leaves, parse_tree, validate_tree
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _print_kv(**pairs) -> None:
     for key, value in pairs.items():
-        print(f"{key}={_fmt(value)}")
+        print(f"{key}={harness._csv_value(value)}")
 
 
 def _add_problem_flags(p: argparse.ArgumentParser) -> None:
@@ -82,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="N", help="abort sizing past this population size "
                         f"(default: {harness.DEFAULT_POP_CEILING})")
     bisect.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="parallel worker processes per batch (default: 1)")
+                        help="parallel worker processes per sizing (default: 1)")
 
     sweep = sub.add_parser("sweep", help="size a plan of instances and write "
                            "CSV + SVG reports")
@@ -101,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--max-gens", type=int, default=200, metavar="G")
     sweep.add_argument("--pop-ceiling", type=int, default=harness.DEFAULT_POP_CEILING,
                        metavar="N")
-    sweep.add_argument("--workers", type=int, default=1, metavar="N")
+    sweep.add_argument("--workers", type=int, default=1, metavar="N",
+                       help="parallel worker processes per sweep (default: 1)")
 
     express_p = sub.add_parser("express", help="parse a tree, print its leaf "
                                "walk, expression vector, and fitness")
@@ -169,7 +162,7 @@ def _cmd_bisect(args, parser) -> int:
         )
     except harness.SizingFailure as failure:
         for pop_size, ok in failure.history:
-            print(f"probe pop_size={pop_size} all_succeeded={_fmt(ok)}")
+            print(f"probe pop_size={pop_size} all_succeeded={harness._csv_value(ok)}")
         _print_kv(
             sizing_failed=True,
             ceiling=failure.ceiling,
@@ -179,7 +172,7 @@ def _cmd_bisect(args, parser) -> int:
         print(f"error: {failure}", file=sys.stderr)
         return 1
     for pop_size, ok in sizing.history:
-        print(f"probe pop_size={pop_size} all_succeeded={_fmt(ok)}")
+        print(f"probe pop_size={pop_size} all_succeeded={harness._csv_value(ok)}")
     _print_kv(
         min_pop_size=sizing.min_pop_size,
         avg_evaluations=sizing.avg_evaluations,

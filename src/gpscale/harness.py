@@ -4,21 +4,27 @@ Sizing follows bracket-and-halve: double from 16 until a full batch of runs
 succeeds, then bisect (even population sizes only) until the bracket is
 within 10% of its succeeding bound.  Sweeps size every (algorithm, instance)
 cell of a plan and emit a CSV plus a log-log SVG plot.
+
+With ``workers > 1`` runs execute in one process pool per top-level call
+(a sweep, a sizing or a batch); see :mod:`gpscale.pool`.
 """
 
 from __future__ import annotations
 
 import csv
 import statistics
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .gp import GpConfig, RunResult, run_gp
+from .gp import GpConfig, Individual, RunResult, run_gp
 from .pipe import run_pipe
 from .problems import ProblemSpec, order_problem, trap_problem
 from .trees import default_max_depth
+
+if TYPE_CHECKING:
+    from .pool import WorkerPool
 
 ALGORITHMS = ("gp", "pipe")
 DEFAULT_RUNS = 30
@@ -72,17 +78,26 @@ class SizingResult:
     history: tuple[tuple[int, bool], ...]
 
 
-def run_algorithm(algo: str, problem: ProblemSpec, cfg: GpConfig) -> RunResult:
+def run_algorithm(
+    algo: str,
+    problem: ProblemSpec,
+    cfg: GpConfig,
+    observer: Callable[[int, list[Individual]], None] | None = None,
+) -> RunResult:
     if algo == "gp":
-        return run_gp(problem, cfg)
+        return run_gp(problem, cfg, observer)
     if algo == "pipe":
-        return run_pipe(problem, cfg)
+        return run_pipe(problem, cfg, observer)
     raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
 
 
-def _run_seeded(args: tuple[str, ProblemSpec, GpConfig]) -> RunResult:
-    algo, problem, cfg = args
-    return run_algorithm(algo, problem, cfg)
+def _worker_pool(workers: int) -> AbstractContextManager[WorkerPool | None]:
+    """The process pool of the enclosing top-level call; None at one worker."""
+    if workers <= 1:
+        return nullcontext()
+    from .pool import worker_pool  # one-worker runs never load the pool code
+
+    return worker_pool(workers)
 
 
 def batch_success(
@@ -99,7 +114,8 @@ def batch_success(
 ) -> tuple[bool, list[RunResult]]:
     """Run ``n_runs`` independent runs seeded ``seed_base + i``; True iff all
     succeed.  ``stop_on_failure`` cuts the batch short at the first failure
-    (the boolean is unaffected; the result list is then partial).
+    (the boolean is unaffected; the result list is then partial).  The result
+    does not depend on ``workers``.
     """
     if max_depth is None:
         max_depth = default_max_depth(problem.primitives.num_pairs)
@@ -116,23 +132,16 @@ def batch_success(
         )
         for i in range(n_runs)
     ]
-    results: list[RunResult] = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_seeded, job) for job in jobs]
-            for fut in futures:
-                result = fut.result()
+    with _worker_pool(workers) as pool:
+        if pool is not None:
+            results = pool.run_batch(jobs, stop_on_failure)
+        else:
+            results = []
+            for job in jobs:
+                result = run_algorithm(*job)
                 results.append(result)
                 if stop_on_failure and not result.success:
-                    for pending in futures:
-                        pending.cancel()
                     break
-    else:
-        for job in jobs:
-            result = _run_seeded(job)
-            results.append(result)
-            if stop_on_failure and not result.success:
-                break
     return all(r.success for r in results) and len(results) == n_runs, results
 
 
@@ -215,7 +224,8 @@ def bisect_population_size(
             stop_on_failure=True,
         )
 
-    return bisect_min_size(batch, start=start, ceiling=ceiling)
+    with _worker_pool(workers):
+        return bisect_min_size(batch, start=start, ceiling=ceiling)
 
 
 @dataclass(frozen=True)
@@ -353,52 +363,57 @@ def scalability_sweep(
     log: Callable[[str], None] | None = None,
 ) -> list[SweepRow]:
     """Size every cell of the plan; cells that hit the population ceiling are
-    flagged with success_rate < 1 instead of aborting the sweep."""
+    flagged with success_rate < 1 instead of aborting the sweep.
+
+    With ``workers > 1`` one process pool serves the whole sweep.  An error
+    from a run, or a crashed worker (``BrokenProcessPool``), fails the sweep.
+    """
     out: list[SweepRow] = []
-    for spec in plan.rows:
-        problem = spec.problem_spec()
-        max_depth = spec.resolved_max_depth()
-        try:
-            sizing = bisect_population_size(
-                problem,
-                spec.algorithm,
-                spec.seed_base,
-                n_runs=plan.n_runs,
+    with _worker_pool(workers):
+        for spec in plan.rows:
+            problem = spec.problem_spec()
+            max_depth = spec.resolved_max_depth()
+            try:
+                sizing = bisect_population_size(
+                    problem,
+                    spec.algorithm,
+                    spec.seed_base,
+                    n_runs=plan.n_runs,
+                    max_depth=max_depth,
+                    max_generations=plan.max_generations,
+                    ceiling=plan.ceiling,
+                    workers=workers,
+                )
+                pop_size = sizing.min_pop_size
+                avg = sizing.avg_evaluations
+                rate = 1.0
+            except SizingFailure as failure:
+                pop_size = failure.last_pop_size
+                succeeded = [r for r in failure.last_results if r.success]
+                avg = statistics.fmean(r.evaluations for r in succeeded) if succeeded else 0.0
+                rate = failure.success_rate
+            row = SweepRow(
+                algorithm=spec.algorithm,
+                problem=spec.problem,
+                l=spec.l,
+                num_junk=spec.num_junk,
+                neg_join=spec.neg_join,
+                k=spec.k,
+                delta=spec.delta,
                 max_depth=max_depth,
-                max_generations=plan.max_generations,
-                ceiling=plan.ceiling,
-                workers=workers,
+                pop_size=pop_size,
+                avg_evaluations=avg,
+                success_rate=rate,
+                seed_base=spec.seed_base,
             )
-            pop_size = sizing.min_pop_size
-            avg = sizing.avg_evaluations
-            rate = 1.0
-        except SizingFailure as failure:
-            pop_size = failure.last_pop_size
-            succeeded = [r for r in failure.last_results if r.success]
-            avg = statistics.fmean(r.evaluations for r in succeeded) if succeeded else 0.0
-            rate = failure.success_rate
-        row = SweepRow(
-            algorithm=spec.algorithm,
-            problem=spec.problem,
-            l=spec.l,
-            num_junk=spec.num_junk,
-            neg_join=spec.neg_join,
-            k=spec.k,
-            delta=spec.delta,
-            max_depth=max_depth,
-            pop_size=pop_size,
-            avg_evaluations=avg,
-            success_rate=rate,
-            seed_base=spec.seed_base,
-        )
-        out.append(row)
-        if log is not None:
-            log(
-                f"row algorithm={row.algorithm} problem={row.problem} l={row.l} "
-                f"num_junk={row.num_junk} max_depth={row.max_depth} "
-                f"pop_size={row.pop_size} avg_evaluations={row.avg_evaluations!r} "
-                f"success_rate={row.success_rate!r}"
-            )
+            out.append(row)
+            if log is not None:
+                log(
+                    f"row algorithm={row.algorithm} problem={row.problem} l={row.l} "
+                    f"num_junk={row.num_junk} max_depth={row.max_depth} "
+                    f"pop_size={row.pop_size} avg_evaluations={row.avg_evaluations!r} "
+                    f"success_rate={row.success_rate!r}"
+                )
     return out
 
 

@@ -15,7 +15,7 @@ from typing import Callable
 
 from .primitives import arity, symbol_sort_key
 from .problems import Evaluator, ProblemSpec
-from .trees import Node
+from .trees import Node, leaf
 from .gp import GpConfig, Individual, RunResult, _evolve, binary_tournament
 
 
@@ -23,15 +23,17 @@ class ModelNode:
     """One model position: probability table plus child models when any
     function has nonzero probability here."""
 
-    __slots__ = ("probs", "children", "symbols", "cum_counts", "total")
+    __slots__ = ("probs", "children", "symbols", "leaves", "cum_counts", "total")
 
     def __init__(
         self, counts: dict[str, int], total: int, children: tuple["ModelNode", ...]
     ) -> None:
         self.probs = {s: c / total for s, c in counts.items()}
         self.children = children
-        # sampling tables: cumulative integer counts, exact and fast
+        # sampling tables: cumulative integer counts, exact and fast; a
+        # terminal's entry in ``leaves`` is its shared leaf node, a function's None
         self.symbols = tuple(counts)
+        self.leaves = tuple(None if arity(s) else leaf(s) for s in self.symbols)
         cum = []
         acc = 0
         for c in counts.values():
@@ -71,15 +73,16 @@ def sample_model(model: ModelNode, rng: random.Random) -> Node:
     it and never exceed the source population's depth."""
     symbols = model.symbols
     if len(symbols) == 1:
-        symbol = symbols[0]
+        i = 0
     else:
-        symbol = symbols[bisect_right(model.cum_counts, rng.random() * model.total)]
-    if arity(symbol):
+        i = bisect_right(model.cum_counts, rng.random() * model.total)
+    node = model.leaves[i]
+    if node is None:
         children = model.children
         return Node(
-            symbol, (sample_model(children[0], rng), sample_model(children[1], rng))
+            symbols[i], (sample_model(children[0], rng), sample_model(children[1], rng))
         )
-    return Node(symbol)
+    return node
 
 
 def model_depth(model: ModelNode) -> int:

@@ -52,10 +52,24 @@ class ProblemSpec:
         l = self.primitives.num_pairs
         return float(l) if self.trap is None else float(l // self.trap.k)
 
-    def fitness(self, bits: list[bool]) -> float:
+    @cached_property
+    def _trap_table(self) -> tuple[float, ...]:
+        return tuple(trap_subfunction(u, self.trap) for u in range(self.trap.k + 1))
+
+    def mask_fitness(self, eff: int) -> float:
+        """Fitness of the expressed bit vector whose bit i is ``eff >> i & 1``;
+        :func:`order_fitness` and :func:`trap_fitness` score the same vector as
+        a list."""
+        l = self.primitives.num_pairs
         if self.trap is None:
-            return order_fitness(bits)
-        return trap_fitness(bits, self.trap)
+            return float((eff & ((1 << l) - 1)).bit_count())
+        k = self.trap.k
+        group = (1 << k) - 1
+        table = self._trap_table
+        total = 0.0
+        for start in range(0, l, k):
+            total += table[(eff >> start & group).bit_count()]
+        return total
 
 
 def order_problem(num_pairs: int, num_junk: int = 0, neg_join: bool = False) -> ProblemSpec:
@@ -74,54 +88,53 @@ def trap_problem(
 
 def express(tree: Node, ps: PrimitiveSet) -> list[bool]:
     """Expressed bit vector of a tree: bits[i] is True iff X_{i+1} wins pair i."""
-    num_pairs = ps.num_pairs
-    bits = [False] * num_pairs
-    seen = [False] * num_pairs
-    remaining = num_pairs
-    leaf_info = ps.leaf_info
-    if ps.neg_join:
-        stack: list[tuple[Node, bool]] = [(tree, False)]
-        while stack:
-            node, negated = stack.pop()
-            children = node.children
-            if children:
-                flag = negated or node.symbol == NEG_JOIN
-                stack.append((children[1], flag))
-                stack.append((children[0], flag))
-            else:
-                info = leaf_info[node.symbol]
-                if info is None:
-                    continue
-                index, positive = info
-                if not seen[index]:
-                    seen[index] = True
-                    bits[index] = positive != negated
-                    remaining -= 1
-                    if not remaining:
-                        break
-        return bits
-    # JOIN-only fast path: no negation flags to carry
-    plain: list[Node] = [tree]
-    pop = plain.pop
-    push = plain.append
-    while plain:
-        node = pop()
-        children = node.children
+    eff = expression_summary(tree)[2]
+    return [bool(eff >> i & 1) for i in range(ps.num_pairs)]
+
+
+# Expression composes bottom-up.  A subtree's summary is three pair-index
+# bitmasks: ``seen`` (pairs with a leaf in it), ``raw`` (pairs whose first leaf
+# is positive, ignoring NEG_JOIN) and ``eff`` (pairs the subtree expresses
+# positively).  Left leaves come first, so a JOIN takes the right child's bits
+# only for pairs its left child has not seen; a NEG_JOIN flips every leaf below
+# it once, so its ``eff`` is the complement of ``raw`` within ``seen``.
+_LEAF_SUMMARIES: dict[str, tuple[int, int, int]] = {}
+
+
+def _leaf_summary(symbol: str) -> tuple[int, int, int]:
+    summary = _LEAF_SUMMARIES.get(symbol)
+    if summary is None:
+        if symbol.startswith("X"):
+            bit = 1 << (int(symbol[1:]) - 1)
+            summary = (bit, bit, bit)
+        elif symbol.startswith("~X"):
+            summary = (1 << (int(symbol[2:]) - 1), 0, 0)
+        else:  # junk
+            summary = (0, 0, 0)
+        _LEAF_SUMMARIES[symbol] = summary
+    return summary
+
+
+def expression_summary(tree: Node) -> tuple[int, int, int]:
+    """``(seen, raw, eff)`` masks of a tree, cached on every node it visits."""
+    summary = tree.summary
+    if summary is None:
+        children = tree.children
         if children:
-            push(children[1])
-            push(children[0])
+            left, right = children
+            seen_a, raw_a, eff_a = left.summary or expression_summary(left)
+            seen_b, raw_b, eff_b = right.summary or expression_summary(right)
+            fresh = seen_b & ~seen_a
+            seen = seen_a | seen_b
+            raw = raw_a | (raw_b & fresh)
+            if tree.symbol == NEG_JOIN:
+                summary = (seen, raw, seen & ~raw)
+            else:
+                summary = (seen, raw, eff_a | (eff_b & fresh))
         else:
-            info = leaf_info[node.symbol]
-            if info is None:
-                continue
-            index, positive = info
-            if not seen[index]:
-                seen[index] = True
-                bits[index] = positive
-                remaining -= 1
-                if not remaining:
-                    break
-    return bits
+            summary = _leaf_summary(tree.symbol)
+        tree.summary = summary
+    return summary
 
 
 def order_fitness(bits: list[bool]) -> float:
@@ -150,7 +163,7 @@ def trap_fitness(bits: list[bool], tp: TrapParams) -> float:
 
 def evaluate(tree: Node, problem: ProblemSpec) -> float:
     """Fitness of one tree (pure; see :class:`Evaluator` for counted calls)."""
-    return problem.fitness(express(tree, problem.primitives))
+    return problem.mask_fitness(expression_summary(tree)[2])
 
 
 class Evaluator:
@@ -164,7 +177,7 @@ class Evaluator:
 
     def __call__(self, tree: Node) -> float:
         self.evaluations += 1
-        return self.problem.fitness(express(tree, self.problem.primitives))
+        return self.problem.mask_fitness(expression_summary(tree)[2])
 
 
 def optimum_reachable(trees: list[Node], ps: PrimitiveSet) -> bool:

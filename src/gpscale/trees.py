@@ -20,14 +20,17 @@ class Node:
 
     Terminals carry an empty children tuple; JOIN/NEG_JOIN carry exactly two.
     ``size`` (node count) and ``depth`` (edge count to the deepest leaf) are
-    derived at construction and must not be mutated.
+    derived at construction and must not be mutated.  ``summary`` caches the
+    subtree's expression masks; :func:`gpscale.problems.expression_summary`
+    fills it on first use, so trees that share a subtree share that work.
     """
 
-    __slots__ = ("symbol", "children", "size", "depth")
+    __slots__ = ("symbol", "children", "size", "depth", "summary")
 
     def __init__(self, symbol: str, children: tuple["Node", ...] = ()) -> None:
         self.symbol = symbol
         self.children = children
+        self.summary = None
         if children:
             left, right = children
             self.size = 1 + left.size + right.size
@@ -51,6 +54,18 @@ class Node:
 
     def __repr__(self) -> str:  # the canonical text format
         return format_tree(self)
+
+
+_LEAVES: dict[str, Node] = {}
+
+
+def leaf(symbol: str) -> Node:
+    """The one shared terminal node for ``symbol``; trees are immutable, so a
+    leaf object can sit in any number of trees."""
+    node = _LEAVES.get(symbol)
+    if node is None:
+        node = _LEAVES[symbol] = Node(symbol)
+    return node
 
 
 def tree_depth(tree: Node) -> int:
@@ -145,7 +160,7 @@ def generate_random_tree(
 
 def _full(functions, terminals, depth_left: int, rng: random.Random) -> Node:
     if depth_left == 0:
-        return Node(rng.choice(terminals))
+        return leaf(rng.choice(terminals))
     return Node(
         rng.choice(functions),
         (
@@ -157,10 +172,10 @@ def _full(functions, terminals, depth_left: int, rng: random.Random) -> Node:
 
 def _grow(alphabet, terminals, depth_left: int, rng: random.Random) -> Node:
     if depth_left == 0:
-        return Node(rng.choice(terminals))
+        return leaf(rng.choice(terminals))
     symbol = rng.choice(alphabet)
     if not arity(symbol):
-        return Node(symbol)
+        return leaf(symbol)
     return Node(
         symbol,
         (

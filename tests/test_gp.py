@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from collections import Counter
@@ -12,8 +13,15 @@ from gpscale.gp import (
     run_gp,
     subtree_crossover,
 )
-from gpscale.problems import order_problem, trap_problem
-from gpscale.trees import Node, generate_random_tree, iter_nodes, parse_tree, tree_depth
+from gpscale.problems import evaluate, order_problem, trap_problem
+from gpscale.trees import (
+    Node,
+    format_tree,
+    generate_random_tree,
+    iter_nodes,
+    parse_tree,
+    tree_depth,
+)
 from gpscale.primitives import PrimitiveSet
 
 
@@ -194,6 +202,33 @@ def test_run_gp_population_invariants_via_observer():
     result = run_gp(problem, cfg, observer=observer)
     assert seen == list(range(result.generations_used + 1))
     assert result.evaluations == 20 * (result.generations_used + 1)
+
+
+def test_run_gp_fitness_of_shared_subtrees_matches_a_fresh_copy():
+    # offspring share their parents' subtrees and those subtrees' cached
+    # expression; a freshly parsed copy has no cache and must score the same
+    problem = trap_problem(6, 3, 0.25, num_junk=1, neg_join=True)
+    cfg = GpConfig(pop_size=24, max_depth=4, seed=11, max_generations=8)
+    checked = []
+
+    def observer(generation, pop):
+        for ind in pop:
+            assert evaluate(parse_tree(format_tree(ind.tree)), problem) == ind.fitness
+        checked.append(generation)
+
+    run_gp(problem, cfg, observer=observer)
+    assert len(checked) > 1
+
+
+def test_run_gp_leaves_no_reference_cycles():
+    # the cyclic collector is paused during a run, so garbage cycles made
+    # there would keep their trees alive until the run ends
+    gc.collect()
+    run_gp(
+        trap_problem(6, 3, 0.25, neg_join=True),
+        GpConfig(pop_size=64, max_depth=4, seed=2, max_generations=10),
+    )
+    assert gc.collect() == 0
 
 
 def test_run_gp_is_deterministic_per_seed():

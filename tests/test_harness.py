@@ -1,12 +1,20 @@
+import multiprocessing
+import os
+import time
 import xml.etree.ElementTree as ET
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpscale.gp import RunResult
+from gpscale import harness
 from gpscale.harness import (
     CSV_HEADER,
+    RowSpec,
     SizingFailure,
+    SweepPlan,
     batch_success,
     bisect_min_size,
     bisect_population_size,
@@ -17,6 +25,7 @@ from gpscale.harness import (
     scalability_sweep,
     write_csv,
 )
+from gpscale.pool import collect_batch
 from gpscale.problems import order_problem, trap_problem
 
 
@@ -106,6 +115,59 @@ def test_batch_success_undersized_population_fails():
     assert len(results) == 1  # stopped at the first failure
 
 
+def test_pooled_batch_returns_the_one_worker_partial_list():
+    # runs 0, 1 solve and run 2 fails; runs 3-5 are not needed
+    problem = trap_problem(6, 3, 1.0)
+    serial = batch_success(problem, "gp", 24, n_runs=6, seed_base=0, stop_on_failure=True)
+    assert [r.success for r in serial[1]] == [True, True, False]
+    pooled = batch_success(
+        problem, "gp", 24, n_runs=6, seed_base=0, stop_on_failure=True, workers=2
+    )
+    assert pooled == serial
+    assert multiprocessing.active_children() == []
+
+
+def test_pooled_batch_abandons_runs_past_the_first_failure(monkeypatch):
+    def run(problem, cfg, observer=None):
+        if cfg.seed == 0:
+            return RunResult(False, 0, 0, 0.0)
+        for generation in range(2000):  # 20 s unless abandoned
+            if observer is not None:
+                observer(generation, [])
+            time.sleep(0.01)
+        return RunResult(True, 0, generation, 0.0)
+
+    monkeypatch.setattr(harness, "run_gp", run)  # inherited by forked workers
+    t0 = time.perf_counter()
+    ok, results = batch_success(
+        order_problem(3), "gp", 16, n_runs=4, stop_on_failure=True, workers=2
+    )
+    assert (ok, results) == (False, [RunResult(False, 0, 0, 0.0)])
+    assert time.perf_counter() - t0 < 10.0
+    assert multiprocessing.active_children() == []
+
+
+def _future(outcome=None):
+    fut = Future()
+    if isinstance(outcome, Exception):
+        fut.set_exception(outcome)
+    elif outcome is not None:
+        fut.set_result(RunResult(outcome, 1, 0, 0.0))
+    return fut  # outcome None: a run still in flight
+
+
+def test_collect_batch_ends_at_the_first_ending_run_in_seed_order():
+    # every run that is already done must be seen, whatever order it finished in
+    runs = [_future(True), _future(False), _future(False), _future()]
+    assert [r.success for r in collect_batch(runs, True)] == [True, False]
+    assert len(collect_batch(runs[:3], False)) == 3
+    with pytest.raises(ValueError):
+        collect_batch([_future(True), _future(ValueError("run 1")), _future(False)], True)
+    failed_then_raised = [_future(False), _future(ValueError())]
+    assert [r.success for r in collect_batch(failed_then_raised, True)] == [False]
+    assert collect_batch([], True) == []
+
+
 def test_batch_success_rejects_unknown_algorithm():
     with pytest.raises(ValueError):
         batch_success(order_problem(2), "annealing", 8, n_runs=1)
@@ -159,6 +221,32 @@ def test_scalability_sweep_rows_and_determinism():
     assert len(rows1) == 4
     assert all(r.success_rate == 1.0 for r in rows1)
     assert all(r.pop_size >= 2 for r in rows1)
+
+
+@pytest.mark.parametrize("name, size", [("trap", 6), ("order-neg", 5)])
+def test_pooled_sweep_matches_one_worker_on_failing_probes(name, size):
+    plan = build_plan(name, sizes=(size,), seed_base=11, n_runs=5)
+    rows = scalability_sweep(plan)
+    assert any(r.pop_size > harness.START_POP for r in rows)  # some probes failed
+    assert scalability_sweep(plan, workers=2) == rows
+    assert multiprocessing.active_children() == []
+
+
+def test_pooled_sweep_error_reaches_the_caller_and_reaps_workers():
+    plan = SweepPlan("bad", (RowSpec("annealing", "order", 3),), n_runs=4)
+    with pytest.raises(ValueError, match="annealing"):
+        scalability_sweep(plan, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_crashed_worker_fails_the_sweep(monkeypatch):
+    def crash(problem, cfg, observer=None):
+        os._exit(3)
+
+    monkeypatch.setattr(harness, "run_gp", crash)  # inherited by forked workers
+    with pytest.raises(BrokenProcessPool):
+        scalability_sweep(_tiny_plan(), workers=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_scalability_sweep_flags_cells_that_hit_the_ceiling():

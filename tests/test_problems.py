@@ -172,6 +172,47 @@ def test_adding_a_junk_leaf_never_changes_expression(seed, limit, junk):
     assert express(padded_right, ps) == express(tree, ps)
 
 
+@given(
+    num_pairs=st.integers(1, 6),
+    num_junk=st.integers(0, 2),
+    limit=st.integers(0, 4),
+    seed=st.integers(0, 2**32),
+)
+def test_cached_subtrees_express_correctly_in_any_context(num_pairs, num_junk, limit, seed):
+    # a subtree's summary is cached when it is first expressed; reusing it
+    # under JOIN and NEG_JOIN parents, on either side, must still match the
+    # oracle walk over the whole new tree
+    ps = PrimitiveSet(num_pairs, num_junk, neg_join=True)
+    rng = random.Random(seed)
+    a = generate_random_tree(ps, limit, "grow", rng)
+    b = generate_random_tree(ps, limit, "full", rng)
+    assert express(a, ps) == oracle_express(a, ps)
+    assert express(b, ps) == oracle_express(b, ps)
+    for f in (JOIN, NEG_JOIN):
+        for tree in (Node(f, (a, b)), Node(f, (b, a)), Node(JOIN, (Node(f, (a, a)), b))):
+            assert express(tree, ps) == oracle_express(tree, ps)
+
+
+@given(
+    num_pairs=st.sampled_from([3, 9, 12]),
+    delta=st.sampled_from([0.0, 0.25, 1.0]),
+    neg_join=st.booleans(),
+    limit=st.integers(0, 5),
+    seed=st.integers(0, 2**32),
+)
+def test_evaluator_matches_oracle_on_trap_and_order(num_pairs, delta, neg_join, limit, seed):
+    rng = random.Random(seed)
+    for problem in (
+        trap_problem(num_pairs, 3, delta, num_junk=1, neg_join=neg_join),
+        order_problem(num_pairs, num_junk=1, neg_join=neg_join),
+    ):
+        tree = generate_random_tree(problem.primitives, limit, "grow", rng)
+        assert Evaluator(problem)(tree) == oracle_evaluate(tree, problem)
+        bits = express(tree, problem.primitives)
+        want = order_fitness(bits) if problem.trap is None else trap_fitness(bits, problem.trap)
+        assert evaluate(tree, problem) == want
+
+
 # ---------------------------------------------------------------- fitness
 
 
