@@ -1,44 +1,4 @@
 """Tree GP and prototype-tree probabilistic recombination on the ORDER and
 TRAP benchmark families, with a population-sizing experiment harness."""
 
-from .primitives import JOIN, NEG_JOIN, PrimitiveSet, arity
-from .trees import (
-    Node,
-    default_max_depth,
-    format_tree,
-    generate_random_tree,
-    inorder_leaves,
-    minimum_optimum_depth,
-    parse_tree,
-    ramped_half_and_half,
-    tree_depth,
-    tree_size,
-    validate_tree,
-)
-from .problems import (
-    Evaluator,
-    ProblemSpec,
-    TrapParams,
-    evaluate,
-    express,
-    order_fitness,
-    order_problem,
-    trap_fitness,
-    trap_problem,
-    trap_subfunction,
-)
-from .gp import GpConfig, Individual, RunResult, binary_tournament, run_gp, subtree_crossover
-from .pipe import ModelNode, build_model, dump_model, run_pipe, sample_model
-from .harness import (
-    SizingFailure,
-    SizingResult,
-    SweepPlan,
-    SweepRow,
-    batch_success,
-    bisect_population_size,
-    build_plan,
-    emit_report,
-    scalability_sweep,
-)
-
 __version__ = "0.1.0"

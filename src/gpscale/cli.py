@@ -78,12 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="size a plan of instances and write "
                            "CSV + SVG reports")
-    sweep.add_argument("--plan", choices=harness.PLAN_NAMES, default="order",
-                       help="built-in sweep plan (default: order)")
+    sweep.add_argument("--plan", choices=harness.PLAN_NAMES + ("all",), default="order",
+                       help="built-in sweep plan, or all of them in turn (default: order)")
     sweep.add_argument("--algo", choices=("gp", "pipe", "both"), default="both")
     sweep.add_argument("--sizes", type=str, default=None, metavar="A,B,...",
-                       help="comma-separated override of the swept sizes "
-                       "(junk counts for plan junk-fixed-l)")
+                       help="comma-separated override of the swept sizes of every "
+                       "plan (junk counts for plan junk-fixed-l)")
     sweep.add_argument("--k", type=int, default=3, metavar="K")
     sweep.add_argument("--delta", type=float, default=1.0, metavar="D")
     sweep.add_argument("--out", type=str, required=True, metavar="DIR",
@@ -191,31 +191,38 @@ def _cmd_sweep(args, parser) -> int:
             parser.error(f"--sizes: expected comma-separated integers, got {args.sizes!r}")
         if not sizes:
             parser.error("--sizes: empty size list")
-    try:
-        plan = harness.build_plan(
-            args.plan,
-            algorithms=algorithms,
-            sizes=sizes,
-            k=args.k,
-            delta=args.delta,
-            seed_base=args.seed,
-            n_runs=args.runs,
-            max_generations=args.max_gens,
-            ceiling=args.pop_ceiling,
-        )
+    names = harness.PLAN_NAMES if args.plan == "all" else (args.plan,)
+    try:  # every plan is built before any run, so a bad size fails at once
+        plans = [
+            harness.build_plan(
+                name,
+                algorithms=algorithms,
+                sizes=sizes,
+                k=args.k,
+                delta=args.delta,
+                seed_base=args.seed,
+                n_runs=args.runs,
+                max_generations=args.max_gens,
+                ceiling=args.pop_ceiling,
+            )
+            for name in names
+        ]
     except ValueError as err:
         parser.error(f"--plan/--sizes/--k: {err}")
-    rows = harness.scalability_sweep(plan, workers=args.workers, log=print)
-    try:
-        csv_path, svg_path = harness.emit_report(
-            rows, args.out, basename=args.plan, x_field=plan.x_field
-        )
-    except OSError as err:
-        print(f"error: cannot write report: {err}", file=sys.stderr)
-        return 1
-    print(f"wrote {csv_path}")
-    print(f"wrote {svg_path}")
-    return 0 if all(r.success_rate == 1.0 for r in rows) else 1
+    flagged = False
+    for plan in plans:
+        rows = harness.scalability_sweep(plan, workers=args.workers, log=print)
+        try:
+            csv_path, svg_path = harness.emit_report(
+                rows, args.out, basename=plan.name, x_field=plan.x_field
+            )
+        except OSError as err:
+            print(f"error: cannot write report: {err}", file=sys.stderr)
+            return 1
+        print(f"wrote {csv_path}")
+        print(f"wrote {svg_path}")
+        flagged = flagged or any(r.success_rate < 1.0 for r in rows)
+    return 1 if flagged else 0
 
 
 def _cmd_express(args, parser) -> int:

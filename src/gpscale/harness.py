@@ -12,6 +12,7 @@ With ``workers > 1`` runs execute in one process pool per top-level call
 from __future__ import annotations
 
 import csv
+import dataclasses
 import statistics
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
@@ -149,23 +150,18 @@ def _nearest_even(x: float) -> int:
     return 2 * round(x / 2)
 
 
-def bisect_min_size(
-    batch: BatchFn,
-    *,
-    start: int = START_POP,
-    ceiling: int = DEFAULT_POP_CEILING,
-) -> SizingResult:
+def bisect_min_size(batch: BatchFn, *, ceiling: int = DEFAULT_POP_CEILING) -> SizingResult:
     """Smallest population size (to a 10% bracket) at which ``batch`` fully
     succeeds; ``batch`` must be statistically monotone in population size.
 
-    Doubles from ``start`` until success (raising :class:`SizingFailure` past
-    ``ceiling``), then bisects on even midpoints while the failing/succeeding
-    bracket is wider than 10% of its succeeding bound.
+    Doubles from ``START_POP`` until success (raising :class:`SizingFailure`
+    past ``ceiling``), then bisects on even midpoints while the
+    failing/succeeding bracket is wider than 10% of its succeeding bound.
     """
-    if ceiling < start:
-        raise ValueError(f"ceiling {ceiling} is below the starting size {start}")
+    if ceiling < START_POP:
+        raise ValueError(f"ceiling {ceiling} is below the starting size {START_POP}")
     history: list[tuple[int, bool]] = []
-    n = start
+    n = START_POP
     ok, results = batch(n)
     history.append((n, ok))
     while not ok:
@@ -175,7 +171,7 @@ def bisect_min_size(
         ok, results = batch(n)
         history.append((n, ok))
     hi = n
-    lo = n // 2 if n > start else 2
+    lo = n // 2 if n > START_POP else 2
     best_results = results
     while (hi - lo) > BRACKET_FRACTION * hi:
         mid = _nearest_even((lo + hi) / 2)
@@ -202,7 +198,6 @@ def bisect_population_size(
     max_generations: int = 200,
     ceiling: int = DEFAULT_POP_CEILING,
     workers: int = 1,
-    start: int = START_POP,
 ) -> SizingResult:
     """Size ``algo`` on ``problem``; each probed size gets its own seed stream.
 
@@ -225,7 +220,7 @@ def bisect_population_size(
         )
 
     with _worker_pool(workers):
-        return bisect_min_size(batch, start=start, ceiling=ceiling)
+        return bisect_min_size(batch, ceiling=ceiling)
 
 
 @dataclass(frozen=True)
@@ -340,17 +335,7 @@ def build_plan(
     else:
         raise ValueError(f"unknown plan {name!r}; expected one of {PLAN_NAMES}")
     rows = tuple(
-        RowSpec(
-            s.algorithm,
-            s.problem,
-            s.l,
-            s.k,
-            s.delta,
-            s.neg_join,
-            s.num_junk,
-            s.max_depth,
-            seed_base + _ROW_SEED_STRIDE * i,
-        )
+        dataclasses.replace(s, seed_base=seed_base + _ROW_SEED_STRIDE * i)
         for i, s in enumerate(specs)
     )
     return SweepPlan(name, rows, n_runs, max_generations, ceiling, x_field)
@@ -488,17 +473,16 @@ def emit_report(
         series.setdefault(label, []).append(
             (float(getattr(row, x_field)), row.avg_evaluations)
         )
-    svg_path.write_text(render_log_log_svg(series))
+    svg_path.write_text(render_log_log_svg(series, _X_LABELS[x_field]))
     return csv_path, svg_path
 
 
+_X_LABELS = {"l": "problem size", "num_junk": "junk terminals"}
 _SERIES_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
 
 def render_log_log_svg(
-    series: dict[str, list[tuple[float, float]]],
-    xlabel: str = "problem size",
-    ylabel: str = "fitness evaluations",
+    series: dict[str, list[tuple[float, float]]], xlabel: str = "problem size"
 ) -> str:
     """Standalone SVG: log10 axes, decade ticks, one polyline per series."""
     import math
@@ -561,7 +545,7 @@ def render_log_log_svg(
     parts.append(
         f'<text x="16" y="{(mt + height - mb) / 2:.1f}" font-size="13" '
         f'text-anchor="middle" transform="rotate(-90 16 {(mt + height - mb) / 2:.1f})">'
-        f"{ylabel}</text>"
+        "fitness evaluations</text>"
     )
     for i, (label, data) in enumerate(sorted(series.items())):
         color = _SERIES_COLORS[i % len(_SERIES_COLORS)]

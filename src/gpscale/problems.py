@@ -92,45 +92,51 @@ def express(tree: Node, ps: PrimitiveSet) -> list[bool]:
     return [bool(eff >> i & 1) for i in range(ps.num_pairs)]
 
 
-# Expression composes bottom-up.  A subtree's summary is three pair-index
-# bitmasks: ``seen`` (pairs with a leaf in it), ``raw`` (pairs whose first leaf
-# is positive, ignoring NEG_JOIN) and ``eff`` (pairs the subtree expresses
-# positively).  Left leaves come first, so a JOIN takes the right child's bits
-# only for pairs its left child has not seen; a NEG_JOIN flips every leaf below
-# it once, so its ``eff`` is the complement of ``raw`` within ``seen``.
-_LEAF_SUMMARIES: dict[str, tuple[int, int, int]] = {}
+# Expression composes bottom-up.  A subtree's summary is four pair-index
+# bitmasks and a flag: ``seen`` (pairs with a leaf in it), ``raw`` (pairs whose
+# first leaf is positive, ignoring NEG_JOIN), ``eff`` (pairs the subtree
+# expresses positively), ``pos`` (pairs with a positive leaf anywhere) and
+# whether a NEG_JOIN occurs in it.  Left leaves come first, so a JOIN takes the
+# right child's bits only for pairs its left child has not seen; a NEG_JOIN
+# flips every leaf below it once, so its ``eff`` is the complement of ``raw``
+# within ``seen``.  ``pos`` and the flag do not depend on where the subtree
+# sits, and they are what :func:`optimum_reachable` reads.
+Summary = tuple[int, int, int, int, bool]
+
+_LEAF_SUMMARIES: dict[str, Summary] = {}
 
 
-def _leaf_summary(symbol: str) -> tuple[int, int, int]:
+def _leaf_summary(symbol: str) -> Summary:
     summary = _LEAF_SUMMARIES.get(symbol)
     if summary is None:
         if symbol.startswith("X"):
             bit = 1 << (int(symbol[1:]) - 1)
-            summary = (bit, bit, bit)
+            summary = (bit, bit, bit, bit, False)
         elif symbol.startswith("~X"):
-            summary = (1 << (int(symbol[2:]) - 1), 0, 0)
+            summary = (1 << (int(symbol[2:]) - 1), 0, 0, 0, False)
         else:  # junk
-            summary = (0, 0, 0)
+            summary = (0, 0, 0, 0, False)
         _LEAF_SUMMARIES[symbol] = summary
     return summary
 
 
-def expression_summary(tree: Node) -> tuple[int, int, int]:
-    """``(seen, raw, eff)`` masks of a tree, cached on every node it visits."""
+def expression_summary(tree: Node) -> Summary:
+    """``(seen, raw, eff, pos, has_neg_join)`` of a tree, cached on every node
+    it visits."""
     summary = tree.summary
     if summary is None:
         children = tree.children
         if children:
             left, right = children
-            seen_a, raw_a, eff_a = left.summary or expression_summary(left)
-            seen_b, raw_b, eff_b = right.summary or expression_summary(right)
+            seen_a, raw_a, eff_a, pos_a, neg_a = left.summary or expression_summary(left)
+            seen_b, raw_b, eff_b, pos_b, neg_b = right.summary or expression_summary(right)
             fresh = seen_b & ~seen_a
             seen = seen_a | seen_b
             raw = raw_a | (raw_b & fresh)
             if tree.symbol == NEG_JOIN:
-                summary = (seen, raw, seen & ~raw)
+                summary = (seen, raw, seen & ~raw, pos_a | pos_b, True)
             else:
-                summary = (seen, raw, eff_a | (eff_b & fresh))
+                summary = (seen, raw, eff_a | (eff_b & fresh), pos_a | pos_b, neg_a or neg_b)
         else:
             summary = _leaf_summary(tree.symbol)
         tree.summary = summary
@@ -177,7 +183,7 @@ class Evaluator:
 
     def __call__(self, tree: Node) -> float:
         self.evaluations += 1
-        return self.problem.mask_fitness(expression_summary(tree)[2])
+        return evaluate(tree, self.problem)
 
 
 def optimum_reachable(trees: list[Node], ps: PrimitiveSet) -> bool:
@@ -186,54 +192,17 @@ def optimum_reachable(trees: list[Node], ps: PrimitiveSet) -> bool:
 
     Variation only rearranges existing symbols (subtree swaps and prototype
     sampling both draw from what the population contains), so once pair i has
-    neither X_i nor, with NEG_JOIN available, ~X_i anywhere, the optimum is
-    permanently out of reach.
+    neither X_i nor, with a NEG_JOIN present, ~X_i anywhere, the optimum is
+    permanently out of reach.  Reads the root summaries only: an evaluated
+    tree already carries its own.
     """
-    num_pairs = ps.num_pairs
-    leaf_info = ps.leaf_info
-    have_pos = [False] * num_pairs
-    if not ps.neg_join:
-        remaining = num_pairs
-        for tree in trees:
-            stack = [tree]
-            while stack:
-                node = stack.pop()
-                children = node.children
-                if children:
-                    stack.append(children[1])
-                    stack.append(children[0])
-                    continue
-                info = leaf_info[node.symbol]
-                if info is None or not info[1]:
-                    continue
-                index = info[0]
-                if not have_pos[index]:
-                    have_pos[index] = True
-                    remaining -= 1
-                    if not remaining:
-                        return True
-        return False
-    have_neg = [False] * num_pairs
-    have_neg_join = False
+    seen = pos = 0
+    neg_join = False
     for tree in trees:
-        stack = [tree]
-        while stack:
-            node = stack.pop()
-            children = node.children
-            if children:
-                if node.symbol == NEG_JOIN:
-                    have_neg_join = True
-                stack.append(children[1])
-                stack.append(children[0])
-                continue
-            info = leaf_info[node.symbol]
-            if info is None:
-                continue
-            index, positive = info
-            if positive:
-                have_pos[index] = True
-            else:
-                have_neg[index] = True
-    return all(
-        have_pos[i] or (have_neg_join and have_neg[i]) for i in range(num_pairs)
-    )
+        tree_seen, _, _, tree_pos, tree_neg_join = tree.summary or expression_summary(tree)
+        seen |= tree_seen
+        pos |= tree_pos
+        neg_join = neg_join or tree_neg_join
+    # with a NEG_JOIN present, either leaf of a pair can express it positively
+    full = (1 << ps.num_pairs) - 1
+    return (seen if neg_join else pos) & full == full

@@ -21,8 +21,9 @@ class Node:
     Terminals carry an empty children tuple; JOIN/NEG_JOIN carry exactly two.
     ``size`` (node count) and ``depth`` (edge count to the deepest leaf) are
     derived at construction and must not be mutated.  ``summary`` caches the
-    subtree's expression masks; :func:`gpscale.problems.expression_summary`
-    fills it on first use, so trees that share a subtree share that work.
+    subtree's expression and reachability masks;
+    :func:`gpscale.problems.expression_summary` fills it on first use, so trees
+    that share a subtree share that work.
     """
 
     __slots__ = ("symbol", "children", "size", "depth", "summary")
@@ -66,16 +67,6 @@ def leaf(symbol: str) -> Node:
     if node is None:
         node = _LEAVES[symbol] = Node(symbol)
     return node
-
-
-def tree_depth(tree: Node) -> int:
-    """Edge count of the longest root-to-leaf path; 0 for a lone terminal."""
-    return tree.depth
-
-
-def tree_size(tree: Node) -> int:
-    """Total node count."""
-    return tree.size
 
 
 def iter_nodes(tree: Node) -> Iterator[Node]:
@@ -185,19 +176,17 @@ def _grow(alphabet, terminals, depth_left: int, rng: random.Random) -> Node:
     )
 
 
-def ramp_schedule(
-    pop_size: int, max_depth: int, min_depth: int = DEFAULT_RAMP_MIN_DEPTH
-) -> list[tuple[int, str]]:
+def ramp_schedule(pop_size: int, max_depth: int) -> list[tuple[int, str]]:
     """(depth, method) recipe for a half-and-half population.
 
-    Depths ramp from ``min_depth`` (clamped down when the budget is smaller)
-    to ``max_depth``; the population splits as evenly as possible across
-    depths, leftover slots going to the shallow end; each depth is half
+    Depths ramp from ``DEFAULT_RAMP_MIN_DEPTH`` (clamped down when the budget
+    is smaller) to ``max_depth``; the population splits as evenly as possible
+    across depths, leftover slots going to the shallow end; each depth is half
     ``full``, half ``grow``, with an odd count favouring ``grow``.
     """
     if pop_size < 2:
         raise ValueError(f"pop_size must be >= 2, got {pop_size}")
-    lo = min(min_depth, max_depth)
+    lo = min(DEFAULT_RAMP_MIN_DEPTH, max_depth)
     depths = range(lo, max_depth + 1)
     base, extra = divmod(pop_size, len(depths))
     schedule: list[tuple[int, str]] = []
@@ -210,16 +199,12 @@ def ramp_schedule(
 
 
 def ramped_half_and_half(
-    ps: PrimitiveSet,
-    pop_size: int,
-    max_depth: int,
-    rng: random.Random,
-    min_depth: int = DEFAULT_RAMP_MIN_DEPTH,
+    ps: PrimitiveSet, pop_size: int, max_depth: int, rng: random.Random
 ) -> list[Node]:
     """Standard ramped half-and-half initial population (no duplicate check)."""
     return [
         generate_random_tree(ps, depth, method, rng)
-        for depth, method in ramp_schedule(pop_size, max_depth, min_depth)
+        for depth, method in ramp_schedule(pop_size, max_depth)
     ]
 
 

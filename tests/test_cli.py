@@ -2,6 +2,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from gpscale import harness
 from gpscale.cli import main
 
 
@@ -167,6 +168,57 @@ def test_sweep_rejects_bad_sizes(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(capsys, "sweep", "--plan", "order", "--sizes", "2;3", "--out", "/tmp/x")
     assert exc.value.code == 2
+
+
+def _stub_sweep(calls):
+    """Stand-in for ``harness.scalability_sweep``: one row per cell, and every
+    cell of the trap plan flagged."""
+
+    def sweep(plan, *, workers=1, log=None):
+        calls.append((plan, workers))
+        rate = 0.5 if plan.name == "trap" else 1.0
+        return [
+            harness.SweepRow(spec.algorithm, spec.problem, spec.l, spec.num_junk,
+                             spec.neg_join, spec.k, spec.delta, spec.resolved_max_depth(),
+                             64, 100.0, rate, spec.seed_base)
+            for spec in plan.rows
+        ]
+
+    return sweep
+
+
+def test_sweep_plan_all_sizes_every_plan_with_the_cli_arguments(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "scalability_sweep", _stub_sweep(calls))
+    code, out, _ = run_cli(
+        capsys,
+        "sweep", "--plan", "all", "--algo", "gp", "--sizes", "15,30", "--k", "5",
+        "--delta", "0.5", "--runs", "4", "--seed", "3", "--max-gens", "50",
+        "--pop-ceiling", "128", "--workers", "2", "--out", str(tmp_path),
+    )
+    assert code == 1  # the trap plan has flagged cells
+    expected = [
+        harness.build_plan(name, algorithms=("gp",), sizes=(15, 30), k=5, delta=0.5,
+                           seed_base=3, n_runs=4, max_generations=50, ceiling=128)
+        for name in harness.PLAN_NAMES
+    ]
+    assert calls == [(plan, 2) for plan in expected]
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(
+        f"{name}.csv" for name in harness.PLAN_NAMES
+    )
+    assert out.count("wrote ") == 2 * len(harness.PLAN_NAMES)
+
+
+def test_sweep_plan_all_rejects_a_size_of_any_plan_before_running(
+    tmp_path, capsys, monkeypatch
+):
+    calls = []
+    monkeypatch.setattr(harness, "scalability_sweep", _stub_sweep(calls))
+    with pytest.raises(SystemExit) as exc:  # 7 is not divisible by the trap's k=3
+        run_cli(capsys, "sweep", "--plan", "all", "--sizes", "7", "--out", str(tmp_path))
+    assert exc.value.code == 2
+    assert calls == []
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_stdout_is_deterministic(tmp_path, capsys):

@@ -20,7 +20,6 @@ from gpscale.trees import (
     generate_random_tree,
     iter_nodes,
     parse_tree,
-    tree_depth,
 )
 from gpscale.primitives import PrimitiveSet
 
@@ -153,8 +152,8 @@ def test_crossover_offspring_are_valid_and_conserve_symbols(seed, limit1, limit2
     p2 = generate_random_tree(ps, limit2, "grow", rng)
     cfg = GpConfig(pop_size=2, max_depth=max_depth, internal_node_bias=bias)
     c1, c2 = subtree_crossover(p1, p2, cfg, rng)
-    assert tree_depth(c1) <= max_depth
-    assert tree_depth(c2) <= max_depth
+    assert c1.depth <= max_depth
+    assert c2.depth <= max_depth
     for child in (c1, c2):
         for node in iter_nodes(child):
             assert len(node.children) in (0, 2)
@@ -196,7 +195,7 @@ def test_run_gp_population_invariants_via_observer():
     def observer(generation, pop):
         seen.append(generation)
         assert len(pop) == 20
-        assert all(tree_depth(ind.tree) <= 3 for ind in pop)
+        assert all(ind.tree.depth <= 3 for ind in pop)
         assert all(ind.fitness <= problem.optimum_fitness for ind in pop)
 
     result = run_gp(problem, cfg, observer=observer)

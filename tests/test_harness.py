@@ -15,6 +15,7 @@ from gpscale.harness import (
     RowSpec,
     SizingFailure,
     SweepPlan,
+    SweepRow,
     batch_success,
     bisect_min_size,
     bisect_population_size,
@@ -278,6 +279,18 @@ def test_emit_report_writes_csv_and_valid_svg(tmp_path):
     texts = [t.text for t in root.findall(".//{http://www.w3.org/2000/svg}text")]
     assert "problem size" in texts
     assert "fitness evaluations" in texts
+
+
+def test_emit_report_labels_the_x_axis_by_the_swept_field(tmp_path):
+    rows = [
+        SweepRow("gp", "order", 20, junk, False, 0, 0.0, 6, 64, 100.0 * junk, 1.0, 0)
+        for junk in (5, 10)
+    ]
+    _, svg_path = emit_report(rows, tmp_path, basename="junk-fixed-l", x_field="num_junk")
+    root = ET.parse(svg_path).getroot()
+    texts = [t.text for t in root.findall(".//{http://www.w3.org/2000/svg}text")]
+    assert "junk terminals" in texts
+    assert "problem size" not in texts
 
 
 def test_emit_report_rejects_empty_rows(tmp_path):

@@ -21,7 +21,6 @@ from gpscale.trees import (
     generate_random_tree,
     iter_nodes,
     parse_tree,
-    tree_depth,
 )
 
 
@@ -98,7 +97,7 @@ def test_sampled_trees_stay_inside_the_model(seed, pop_size, limit):
     rng = random.Random(seed)
     population = [generate_random_tree(ps, limit, "grow", rng) for _ in range(pop_size)]
     model = build_model(population)
-    source_depth = max(tree_depth(t) for t in population)
+    source_depth = max(t.depth for t in population)
     assert model_depth(model) <= source_depth
     for node in _model_nodes(model):
         assert abs(sum(node.probs.values()) - 1.0) < 1e-9
@@ -110,7 +109,7 @@ def test_sampled_trees_stay_inside_the_model(seed, pop_size, limit):
     for _ in range(20):
         sample = sample_model(model, rng)
         _assert_within_model(sample, model)
-        assert tree_depth(sample) <= source_depth
+        assert sample.depth <= source_depth
         for node in iter_nodes(sample):
             assert len(node.children) == arity(node.symbol)
 

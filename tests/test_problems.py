@@ -18,7 +18,7 @@ from gpscale.problems import (
     trap_problem,
     trap_subfunction,
 )
-from gpscale.trees import Node, generate_random_tree, inorder_leaves, parse_tree
+from gpscale.trees import Node, generate_random_tree, inorder_leaves, iter_nodes, parse_tree
 
 # ---------------------------------------------------------------- oracles
 # Independent re-implementations used as ground truth; deliberately written
@@ -350,3 +350,38 @@ def test_optimum_reachable_cases():
     # ~X2 alone cannot: no NEG_JOIN left anywhere in the population
     assert not optimum_reachable([parse_tree("(JOIN X1 ~X2)")], neg_ps)
     assert not optimum_reachable([Node("J1")], PrimitiveSet(1, num_junk=1))
+
+
+def reference_reachable(trees, ps):
+    """Every pair keeps its positive terminal, or its negative one while a
+    NEG_JOIN is left; symbols gathered node by node."""
+    symbols = {node.symbol for tree in trees for node in iter_nodes(tree)}
+    return all(
+        f"X{i}" in symbols or (NEG_JOIN in symbols and f"~X{i}" in symbols)
+        for i in range(1, ps.num_pairs + 1)
+    )
+
+
+@given(
+    num_pairs=st.integers(1, 6),
+    num_junk=st.integers(0, 2),
+    neg_join=st.booleans(),
+    size=st.integers(1, 6),
+    seed=st.integers(0, 2**32),
+)
+def test_optimum_reachable_matches_a_symbol_walk(num_pairs, num_junk, neg_join, size, seed):
+    ps = PrimitiveSet(num_pairs, num_junk, neg_join)
+    rng = random.Random(seed)
+    trees = [
+        generate_random_tree(ps, rng.randint(0, 3), rng.choice(["full", "grow"]), rng)
+        for _ in range(size)
+    ]
+    for tree in rng.sample(trees, rng.randint(0, size)):  # summarised before grafting
+        evaluate(tree, ProblemSpec(ps))
+    # grafts share whole trees of the population, with any NEG_JOIN under a JOIN
+    for _ in range(rng.randint(0, 3)):
+        a, b, c = (rng.choice(trees) for _ in range(3))
+        inner = Node(NEG_JOIN if neg_join else JOIN, (a, b))
+        trees.append(Node(JOIN, (inner, c) if rng.random() < 0.5 else (c, inner)))
+    rng.shuffle(trees)
+    assert optimum_reachable(trees, ps) == reference_reachable(trees, ps)

@@ -16,8 +16,6 @@ from gpscale.trees import (
     parse_tree,
     ramp_schedule,
     ramped_half_and_half,
-    tree_depth,
-    tree_size,
     validate_tree,
 )
 
@@ -77,17 +75,17 @@ def test_symbol_sort_key_orders_canonically():
 
 def test_depth_and_size_basics():
     leaf = Node("X1")
-    assert tree_depth(leaf) == 0
-    assert tree_size(leaf) == 1
+    assert leaf.depth == 0
+    assert leaf.size == 1
     pair = Node(JOIN, (Node("X1"), Node("X2")))
-    assert tree_depth(pair) == 1
-    assert tree_size(pair) == 3
+    assert pair.depth == 1
+    assert pair.size == 3
 
 
 def test_full_binary_tree_with_32_leaves():
     tree = generate_random_tree(PrimitiveSet(4), 5, "full", random.Random(0))
-    assert tree_depth(tree) == 5
-    assert tree_size(tree) == 63
+    assert tree.depth == 5
+    assert tree.size == 63
     assert len(inorder_leaves(tree)) == 32
 
 
@@ -124,8 +122,8 @@ def test_full_tree_is_complete():
     ps = PrimitiveSet(5)
     for seed in range(20):
         tree = generate_random_tree(ps, 2, "full", random.Random(seed))
-        assert tree_size(tree) == 7
-        assert tree_depth(tree) == 2
+        assert tree.size == 7
+        assert tree.depth == 2
 
 
 @given(random_trees())
@@ -140,7 +138,7 @@ def test_full_trees_have_power_of_two_size(case):
     rng = random.Random(7)
     for limit in range(4):
         tree = generate_random_tree(ps, limit, "full", rng)
-        assert tree_size(tree) == 2 ** (limit + 1) - 1
+        assert tree.size == 2 ** (limit + 1) - 1
 
 
 def _grow_depth_cdf(ps, budget):
@@ -165,7 +163,7 @@ def test_grow_depth_distribution_matches_recurrence():
     draws = 10_000
     rng = random.Random(12345)
     observed = Counter(
-        tree_depth(generate_random_tree(ps, budget, "grow", rng)) for _ in range(draws)
+        generate_random_tree(ps, budget, "grow", rng).depth for _ in range(draws)
     )
     cdf = _grow_depth_cdf(ps, budget)
     expected = [cdf[0]] + [cdf[x] - cdf[x - 1] for x in range(1, budget + 1)]
@@ -202,7 +200,7 @@ def test_ramped_population_respects_depth_budget():
     ps = PrimitiveSet(4, num_junk=1, neg_join=True)
     pop = ramped_half_and_half(ps, 64, 3, random.Random(9))
     assert len(pop) == 64
-    assert all(tree_depth(t) <= 3 for t in pop)
+    assert all(t.depth <= 3 for t in pop)
     for tree in pop:
         validate_tree(tree, ps, max_depth=3)
     with pytest.raises(ValueError):
