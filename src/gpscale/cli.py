@@ -149,6 +149,7 @@ def _cmd_run(args, parser) -> int:
 
 def _cmd_bisect(args, parser) -> int:
     problem = _build_problem(args, parser)
+    error = None
     try:
         sizing = harness.bisect_population_size(
             problem,
@@ -161,23 +162,27 @@ def _cmd_bisect(args, parser) -> int:
             workers=args.workers,
         )
     except harness.SizingFailure as failure:
-        for pop_size, ok in failure.history:
-            print(f"probe pop_size={pop_size} all_succeeded={harness._csv_value(ok)}")
-        _print_kv(
+        error = failure
+        history = failure.history
+        outcome = dict(
             sizing_failed=True,
             ceiling=failure.ceiling,
             last_pop_size=failure.last_pop_size,
             success_rate=failure.success_rate,
         )
-        print(f"error: {failure}", file=sys.stderr)
-        return 1
-    for pop_size, ok in sizing.history:
+    else:
+        history = sizing.history
+        outcome = dict(
+            min_pop_size=sizing.min_pop_size,
+            avg_evaluations=sizing.avg_evaluations,
+            runs=len(sizing.runs),
+        )
+    for pop_size, ok in history:
         print(f"probe pop_size={pop_size} all_succeeded={harness._csv_value(ok)}")
-    _print_kv(
-        min_pop_size=sizing.min_pop_size,
-        avg_evaluations=sizing.avg_evaluations,
-        runs=len(sizing.runs),
-    )
+    _print_kv(**outcome)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -15,6 +15,9 @@ from .trees import Node, ramped_half_and_half
 # Generations between checks that the optimum is still reachable from the
 # symbols left in the population (a lost symbol can never reappear).
 REACHABILITY_CHECK_PERIOD = 5
+# Subtree crossover's point picks; see :func:`subtree_crossover`.
+INTERNAL_NODE_BIAS = 0.9
+CROSSOVER_RETRIES = 10
 
 
 @dataclass(frozen=True)
@@ -24,8 +27,6 @@ class GpConfig:
     pop_size: int
     max_depth: int
     max_generations: int = 200
-    crossover_retries: int = 10
-    internal_node_bias: float = 0.9
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -35,10 +36,6 @@ class GpConfig:
             raise ValueError(f"max_depth must be >= 0, got {self.max_depth}")
         if self.max_generations < 0:
             raise ValueError(f"max_generations must be >= 0, got {self.max_generations}")
-        if not 0.0 <= self.internal_node_bias <= 1.0:
-            raise ValueError(
-                f"internal_node_bias must be in [0, 1], got {self.internal_node_bias}"
-            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,14 +136,14 @@ def subtree_crossover(
 ) -> tuple[Node, Node]:
     """Swap one randomly chosen subtree between the parents.
 
-    Each pick favours internal nodes with probability ``internal_node_bias``
+    Each pick favours internal nodes with probability ``INTERNAL_NODE_BIAS``
     (uniform within the chosen class).  A pick that would push either
-    offspring past ``max_depth`` is redrawn, ``crossover_retries`` times at
+    offspring past ``max_depth`` is redrawn, ``CROSSOVER_RETRIES`` times at
     most; after that the parents come back unchanged.
     """
-    bias = cfg.internal_node_bias
+    bias = INTERNAL_NODE_BIAS
     max_depth = cfg.max_depth
-    for _ in range(cfg.crossover_retries + 1):
+    for _ in range(CROSSOVER_RETRIES + 1):
         sub1, dist1, path1 = _pick_point(p1, bias, rng)
         sub2, dist2, path2 = _pick_point(p2, bias, rng)
         if dist1 + sub2.depth <= max_depth and dist2 + sub1.depth <= max_depth:

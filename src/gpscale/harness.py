@@ -16,8 +16,9 @@ import dataclasses
 import statistics
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence, get_type_hints
 
 from .gp import GpConfig, Individual, RunResult, run_gp
 from .pipe import run_pipe
@@ -35,11 +36,6 @@ BRACKET_FRACTION = 0.10
 # Spreads the per-size seed streams apart so no two probe sizes share seeds.
 _SIZE_SEED_STRIDE = 1_000_003
 _ROW_SEED_STRIDE = 1_000_000
-
-CSV_HEADER = (
-    "algorithm,problem,l,num_junk,neg_join,k,delta,max_depth,"
-    "pop_size,avg_evaluations,success_rate,seed_base"
-)
 
 BatchFn = Callable[[int], tuple[bool, list[RunResult]]]
 
@@ -101,6 +97,25 @@ def _worker_pool(workers: int) -> AbstractContextManager[WorkerPool | None]:
     return worker_pool(workers)
 
 
+def collect_batch(
+    runs: Sequence[Callable[[], RunResult]], stop_on_failure: bool
+) -> list[RunResult]:
+    """Call the runs of a batch in seed order and return their results.
+
+    A run is a zero-argument callable: the run itself at one worker, its
+    future's ``result`` in a pool.  Stops after the first run that raises
+    (re-raised here) or, with ``stop_on_failure``, fails; the runs after it
+    are never called.
+    """
+    results: list[RunResult] = []
+    for run in runs:
+        result = run()
+        results.append(result)
+        if stop_on_failure and not result.success:
+            break
+    return results
+
+
 def batch_success(
     problem: ProblemSpec,
     algo: str,
@@ -137,12 +152,8 @@ def batch_success(
         if pool is not None:
             results = pool.run_batch(jobs, stop_on_failure)
         else:
-            results = []
-            for job in jobs:
-                result = run_algorithm(*job)
-                results.append(result)
-                if stop_on_failure and not result.success:
-                    break
+            runs = [partial(run_algorithm, *job) for job in jobs]
+            results = collect_batch(runs, stop_on_failure)
     return all(r.success for r in results) and len(results) == n_runs, results
 
 
@@ -262,6 +273,10 @@ class SweepRow:
     seed_base: int
 
 
+_FIELDS = tuple(f.name for f in dataclasses.fields(SweepRow))
+CSV_HEADER = ",".join(_FIELDS)
+
+
 @dataclass(frozen=True)
 class SweepPlan:
     name: str
@@ -378,27 +393,14 @@ def scalability_sweep(
                 avg = statistics.fmean(r.evaluations for r in succeeded) if succeeded else 0.0
                 rate = failure.success_rate
             row = SweepRow(
-                algorithm=spec.algorithm,
-                problem=spec.problem,
-                l=spec.l,
-                num_junk=spec.num_junk,
-                neg_join=spec.neg_join,
-                k=spec.k,
-                delta=spec.delta,
-                max_depth=max_depth,
-                pop_size=pop_size,
-                avg_evaluations=avg,
-                success_rate=rate,
-                seed_base=spec.seed_base,
+                **dataclasses.asdict(spec)
+                | dict(max_depth=max_depth, pop_size=pop_size, avg_evaluations=avg,
+                       success_rate=rate)
             )
             out.append(row)
             if log is not None:
-                log(
-                    f"row algorithm={row.algorithm} problem={row.problem} l={row.l} "
-                    f"num_junk={row.num_junk} max_depth={row.max_depth} "
-                    f"pop_size={row.pop_size} avg_evaluations={row.avg_evaluations!r} "
-                    f"success_rate={row.success_rate!r}"
-                )
+                pairs = zip(_FIELDS, _row_values(row))
+                log("row " + " ".join(f"{name}={value}" for name, value in pairs))
     return out
 
 
@@ -410,38 +412,33 @@ def _csv_value(value) -> str:
     return str(value)
 
 
+def _parse_csv_value(text: str, kind: type):
+    """Inverse of :func:`_csv_value` for a field of type ``kind``."""
+    if kind is bool:
+        return text == "true"
+    return kind(text)
+
+
+def _row_values(row: SweepRow) -> list[str]:
+    return [_csv_value(getattr(row, name)) for name in _FIELDS]
+
+
 def write_csv(rows: Sequence[SweepRow], path: Path) -> None:
-    fields = CSV_HEADER.split(",")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow([_csv_value(getattr(row, f)) for f in fields])
+        writer.writerow(_FIELDS)
+        writer.writerows(_row_values(row) for row in rows)
 
 
 def read_csv(path: Path) -> list[SweepRow]:
     """Inverse of :func:`write_csv` (exact for every numeric field)."""
-    rows: list[SweepRow] = []
+    kinds = get_type_hints(SweepRow)
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            rows.append(
-                SweepRow(
-                    algorithm=rec["algorithm"],
-                    problem=rec["problem"],
-                    l=int(rec["l"]),
-                    num_junk=int(rec["num_junk"]),
-                    neg_join=rec["neg_join"] == "true",
-                    k=int(rec["k"]),
-                    delta=float(rec["delta"]),
-                    max_depth=int(rec["max_depth"]),
-                    pop_size=int(rec["pop_size"]),
-                    avg_evaluations=float(rec["avg_evaluations"]),
-                    success_rate=float(rec["success_rate"]),
-                    seed_base=int(rec["seed_base"]),
-                )
-            )
-    return rows
+        records = list(csv.DictReader(fh))
+    return [
+        SweepRow(**{name: _parse_csv_value(rec[name], kind) for name, kind in kinds.items()})
+        for rec in records
+    ]
 
 
 def emit_report(

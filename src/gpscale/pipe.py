@@ -23,12 +23,11 @@ class ModelNode:
     """One model position: probability table plus child models when any
     function has nonzero probability here."""
 
-    __slots__ = ("probs", "children", "symbols", "leaves", "cum_counts", "total")
+    __slots__ = ("children", "symbols", "leaves", "cum_counts", "total")
 
     def __init__(
         self, counts: dict[str, int], total: int, children: tuple["ModelNode", ...]
     ) -> None:
-        self.probs = {s: c / total for s, c in counts.items()}
         self.children = children
         # sampling tables: cumulative integer counts, exact and fast; a
         # terminal's entry in ``leaves`` is its shared leaf node, a function's None
@@ -41,6 +40,12 @@ class ModelNode:
             cum.append(acc)
         self.cum_counts = cum
         self.total = total
+
+    @property
+    def probs(self) -> dict[str, float]:
+        """Symbol -> relative frequency at this position."""
+        cum = self.cum_counts
+        return {s: (c - b) / self.total for s, c, b in zip(self.symbols, cum, (0, *cum))}
 
     def __repr__(self) -> str:
         return f"ModelNode({self.probs!r}, children={len(self.children)})"

@@ -9,7 +9,7 @@ worker runs what the parent had bound there when the pool started.
 from __future__ import annotations
 
 import multiprocessing
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Iterator, Sequence
@@ -68,42 +68,20 @@ class WorkerPool:
     def run_batch(
         self, jobs: Sequence[tuple[str, ProblemSpec, GpConfig]], stop_on_failure: bool
     ) -> list[RunResult]:
-        """The same run list a one-worker batch returns (see :func:`collect_batch`)."""
+        """The same run list a one-worker batch returns: results are read in
+        seed order through :func:`harness.collect_batch`, so the batch waits
+        only for the runs up to its first failing or raising one."""
         self.batches += 1
         batch = self.batches
         futures = []
         try:
             for job in jobs:
                 futures.append(self.executor.submit(_run_pooled, *job, batch))
-            return collect_batch(futures, stop_on_failure)
+            return harness.collect_batch([fut.result for fut in futures], stop_on_failure)
         finally:
             self.finished.value = batch
             for fut in futures:
                 fut.cancel()
-
-
-def collect_batch(futures: Sequence[Future], stop_on_failure: bool) -> list[RunResult]:
-    """Wait for the runs ``0..m`` of a batch and return them in seed order.
-
-    ``m`` is the first run, in seed order, that raised (re-raised here) or,
-    with ``stop_on_failure``, failed; runs after it are never waited for.
-    Each future's state is read once per pass, so a run that completes
-    during a pass is seen by the next one.
-    """
-    last = len(futures) - 1  # the last run the batch still needs
-    while True:
-        pending = []
-        for i, fut in enumerate(futures[: last + 1]):
-            if not fut.done():
-                pending.append(fut)
-            elif fut.exception() is not None or (
-                stop_on_failure and not fut.result().success
-            ):
-                last = i
-                break
-        if not pending:
-            return [fut.result() for fut in futures[: last + 1]]
-        wait(pending, return_when=FIRST_COMPLETED)
 
 
 _open_pool: ContextVar[WorkerPool | None] = ContextVar("_open_pool", default=None)

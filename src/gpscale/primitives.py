@@ -29,10 +29,6 @@ def junk_terminal(j: int) -> str:
     return f"J{j}"
 
 
-def is_function(symbol: str) -> bool:
-    return symbol == JOIN or symbol == NEG_JOIN
-
-
 def arity(symbol: str) -> int:
     """2 for the join functions, 0 for every terminal."""
     return 2 if symbol == JOIN or symbol == NEG_JOIN else 0

@@ -2,10 +2,12 @@ import gc
 import math
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+from gpscale import gp
 from gpscale.gp import (
     GpConfig,
     Individual,
@@ -35,8 +37,6 @@ def test_config_validation():
         GpConfig(pop_size=0, max_depth=2)
     with pytest.raises(ValueError):
         GpConfig(pop_size=4, max_depth=-1)
-    with pytest.raises(ValueError):
-        GpConfig(pop_size=4, max_depth=2, internal_node_bias=1.5)
 
 
 def test_tournament_single_individual():
@@ -83,9 +83,10 @@ def test_crossover_of_single_terminals_swaps_them():
     assert c2 == Node("X1")
 
 
-def test_crossover_root_swap_returns_swapped_copies():
+def test_crossover_root_swap_returns_swapped_copies(monkeypatch):
     # depth-1 parents with bias 1.0 have only the roots as internal points
-    cfg = GpConfig(pop_size=2, max_depth=1, internal_node_bias=1.0)
+    monkeypatch.setattr(gp, "INTERNAL_NODE_BIAS", 1.0)
+    cfg = GpConfig(pop_size=2, max_depth=1)
     p1 = parse_tree("(JOIN X1 X2)")
     p2 = parse_tree("(JOIN ~X1 ~X2)")
     c1, c2 = subtree_crossover(p1, p2, cfg, random.Random(3))
@@ -93,8 +94,9 @@ def test_crossover_root_swap_returns_swapped_copies():
     assert c2 == p1
 
 
-def test_crossover_leaf_swap_can_mix_pairs():
-    cfg = GpConfig(pop_size=2, max_depth=1, internal_node_bias=0.0)
+def test_crossover_leaf_swap_can_mix_pairs(monkeypatch):
+    monkeypatch.setattr(gp, "INTERNAL_NODE_BIAS", 0.0)
+    cfg = GpConfig(pop_size=2, max_depth=1)
     p1 = parse_tree("(JOIN X1 X2)")
     p2 = parse_tree("(JOIN ~X1 ~X2)")
     target = parse_tree("(JOIN ~X1 X2)")
@@ -131,7 +133,7 @@ def test_crossover_returns_parents_after_retry_exhaustion():
     # budget both ways round, on every attempt
     p1 = generate_random_tree(PrimitiveSet(2), 2, "full", random.Random(0))
     p2 = generate_random_tree(PrimitiveSet(2), 2, "full", random.Random(1))
-    cfg = GpConfig(pop_size=2, max_depth=2, crossover_retries=5)
+    cfg = GpConfig(pop_size=2, max_depth=2)
     rng = _ScriptedRng(random_values=[1.0, 0.0], randrange_values=[0, 0])
     c1, c2 = subtree_crossover(p1, p2, cfg, rng)
     assert c1 is p1
@@ -150,8 +152,9 @@ def test_crossover_offspring_are_valid_and_conserve_symbols(seed, limit1, limit2
     max_depth = 4
     p1 = generate_random_tree(ps, limit1, "grow", rng)
     p2 = generate_random_tree(ps, limit2, "grow", rng)
-    cfg = GpConfig(pop_size=2, max_depth=max_depth, internal_node_bias=bias)
-    c1, c2 = subtree_crossover(p1, p2, cfg, rng)
+    cfg = GpConfig(pop_size=2, max_depth=max_depth)
+    with mock.patch.object(gp, "INTERNAL_NODE_BIAS", bias):
+        c1, c2 = subtree_crossover(p1, p2, cfg, rng)
     assert c1.depth <= max_depth
     assert c2.depth <= max_depth
     for child in (c1, c2):

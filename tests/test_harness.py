@@ -1,12 +1,17 @@
+import csv
 import multiprocessing
 import os
+import subprocess
+import sys
+import tempfile
 import time
 import xml.etree.ElementTree as ET
-from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
+from typing import get_type_hints
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gpscale.gp import RunResult
 from gpscale import harness
@@ -20,13 +25,13 @@ from gpscale.harness import (
     bisect_min_size,
     bisect_population_size,
     build_plan,
+    collect_batch,
     emit_report,
     read_csv,
     render_log_log_svg,
     scalability_sweep,
     write_csv,
 )
-from gpscale.pool import collect_batch
 from gpscale.problems import order_problem, trap_problem
 
 
@@ -148,25 +153,43 @@ def test_pooled_batch_abandons_runs_past_the_first_failure(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def _future(outcome=None):
-    fut = Future()
-    if isinstance(outcome, Exception):
-        fut.set_exception(outcome)
-    elif outcome is not None:
-        fut.set_result(RunResult(outcome, 1, 0, 0.0))
-    return fut  # outcome None: a run still in flight
+def _run(outcome=None):
+    def run():
+        if outcome is None:
+            pytest.fail("a run past the end of the batch was waited for")
+        if isinstance(outcome, Exception):
+            raise outcome
+        return RunResult(outcome, 1, 0, 0.0)
+
+    return run  # outcome None: a run still in flight
 
 
 def test_collect_batch_ends_at_the_first_ending_run_in_seed_order():
-    # every run that is already done must be seen, whatever order it finished in
-    runs = [_future(True), _future(False), _future(False), _future()]
+    runs = [_run(True), _run(False), _run(False), _run()]
     assert [r.success for r in collect_batch(runs, True)] == [True, False]
     assert len(collect_batch(runs[:3], False)) == 3
     with pytest.raises(ValueError):
-        collect_batch([_future(True), _future(ValueError("run 1")), _future(False)], True)
-    failed_then_raised = [_future(False), _future(ValueError())]
+        collect_batch([_run(True), _run(ValueError("run 1")), _run()], True)
+    failed_then_raised = [_run(False), _run(ValueError())]
     assert [r.success for r in collect_batch(failed_then_raised, True)] == [False]
     assert collect_batch([], True) == []
+
+
+def test_one_worker_sweep_loads_no_pool_code():
+    code = (
+        "import sys\n"
+        "from gpscale import harness\n"
+        "harness.scalability_sweep(harness.build_plan('order', sizes=(2,), n_runs=2))\n"
+        "print(sorted(m for m in sys.modules if m == 'gpscale.pool'\n"
+        "             or m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+    )
+    paths = [str(Path(harness.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_batch_success_rejects_unknown_algorithm():
@@ -266,6 +289,45 @@ def test_csv_round_trip(tmp_path):
     text = path.read_text()
     assert text.splitlines()[0] == CSV_HEADER
     assert read_csv(path) == rows
+
+
+_FIELD_VALUES = {
+    str: st.text(alphabet='gpiordea-_ ,"\n'),
+    int: st.integers(),
+    float: st.sampled_from([0.1 + 0.2, 1e-300, 0.5]) | st.floats(allow_nan=False),
+    bool: st.booleans(),
+}
+
+
+@given(st.lists(st.builds(SweepRow, **{
+    name: _FIELD_VALUES[kind] for name, kind in get_type_hints(SweepRow).items()
+})))
+@example([
+    SweepRow("gp", "trap", 12, 2, True, 3, 0.25, 5, 16384, 0.1 + 0.2, 0.5, 7),
+    SweepRow("pipe", "order", 20, 4, False, 0, 0.0, 6, 96, 1e-300, 1.0, 1_000_000),
+])
+def test_read_csv_inverts_write_csv(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.csv"
+        write_csv(rows, path)
+        assert read_csv(path) == rows
+
+
+def test_progress_line_shows_the_csv_values(tmp_path):
+    # a solved ORDER cell and a flagged TRAP cell with NEG_JOIN and junk
+    plan = SweepPlan("mixed", (
+        RowSpec("gp", "order", 2, seed_base=1),
+        RowSpec("gp", "trap", 6, k=3, delta=0.5, neg_join=True, num_junk=1, seed_base=2),
+    ), n_runs=3, ceiling=32)
+    lines = []
+    rows = scalability_sweep(plan, log=lines.append)
+    assert [r.success_rate < 1.0 for r in rows] == [False, True]
+    write_csv(rows, tmp_path / "rows.csv")
+    with open(tmp_path / "rows.csv", newline="") as fh:
+        header, *records = csv.reader(fh)
+    assert [line.split(" ") for line in lines] == [
+        ["row"] + [f"{name}={value}" for name, value in zip(header, rec)] for rec in records
+    ]
 
 
 def test_emit_report_writes_csv_and_valid_svg(tmp_path):
