@@ -5,8 +5,9 @@ succeeds, then bisect (even population sizes only) until the bracket is
 within 10% of its succeeding bound.  Sweeps size every (algorithm, instance)
 cell of a plan and emit a CSV plus a log-log SVG plot.
 
-With ``workers > 1`` runs execute in one process pool per top-level call
-(a sweep, a sizing or a batch); see :mod:`gpscale.pool`.
+With ``workers > 1`` runs execute in worker processes that live for one
+top-level call (a sweep, a sizing or a batch), each fed runs over its own
+pipe in seed order; see :mod:`gpscale.pool`.
 """
 
 from __future__ import annotations
@@ -54,10 +55,16 @@ class SizingFailure(Exception):
         self.last_pop_size = last_pop_size
         self.last_results = last_results
         self.history = history
+        runs = len(last_results)
         succeeded = sum(r.success for r in last_results)
+        if runs and succeeded == runs - 1 and not last_results[-1].success:
+            outcome = (f"stopped at its first failure after {runs} "
+                       f"run{'s' * (runs != 1)}, {succeeded} of them solved")
+        else:
+            outcome = f"solved {succeeded}/{runs} runs"
         super().__init__(
             f"no fully successful batch at any population size up to {last_pop_size} "
-            f"(ceiling {ceiling}); last batch solved {succeeded}/{len(last_results)} runs"
+            f"(ceiling {ceiling}); last batch {outcome}"
         )
 
     @property

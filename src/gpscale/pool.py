@@ -1,17 +1,24 @@
 """Worker processes for probe batches.
 
 One pool serves a whole top-level harness call (a sweep, a sizing or a
-batch), and a finished batch stops the runs it no longer needs.  Workers
-call ``harness.run_algorithm`` through the module attribute, so a forked
-worker runs what the parent had bound there when the pool started.
+batch).  Each worker is a process that serves runs over its own duplex pipe.
+The parent hands every idle worker the next run of the batch in seed order.
+Once the batch is decided it hands out no more, and runs still going stop at
+their next generation.  Workers call ``harness.run_algorithm`` through the
+module attribute, so a forked worker runs what the parent had bound there
+when the pool started.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+import traceback
+from collections import deque
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from contextvars import ContextVar
+from functools import partial
+from multiprocessing.connection import Connection, wait
 from typing import Iterator, Sequence
 
 from . import harness
@@ -23,25 +30,16 @@ class _Abandoned(Exception):
     """Raised inside a pool worker to stop a run whose batch is finished."""
 
 
-# In a pool worker: the number of the last batch its parent has finished.
-_finished_batch = None
-
-
-def _init_worker(finished_batch) -> None:
-    global _finished_batch
-    _finished_batch = finished_batch
-
-
 def _run_pooled(
-    algo: str, problem: ProblemSpec, cfg: GpConfig, batch: int
+    algo: str, problem: ProblemSpec, cfg: GpConfig, batch: int, finished
 ) -> RunResult | None:
     """One run in a pool worker; None if its batch finished before it did."""
 
     def check(generation: int, pop: list[Individual]) -> None:
-        if _finished_batch.value >= batch:
+        if finished.value >= batch:
             raise _Abandoned
 
-    if _finished_batch.value >= batch:
+    if finished.value >= batch:
         return None
     try:
         return harness.run_algorithm(algo, problem, cfg, check)
@@ -49,21 +47,47 @@ def _run_pooled(
         return None
 
 
+def _serve(conn: Connection, finished) -> None:
+    """A worker: run each ``(batch, job)`` received and reply ``(batch,
+    result)``, the result being a run's exception if it raised; None stops."""
+    while (message := conn.recv()) is not None:
+        batch, job = message
+        try:
+            outcome = _run_pooled(*job, batch, finished)
+        except Exception as exc:  # re-raised in the parent, worker traceback attached
+            exc.__notes__ = [*getattr(exc, "__notes__", ()), traceback.format_exc().rstrip()]
+            outcome = exc
+        conn.send((batch, outcome))
+
+
 class WorkerPool:
-    """A process pool that lives for one top-level harness call.
+    """Worker processes that live for one top-level harness call.
 
     Batches are numbered in submission order.  When the parent has the runs
     a batch needs, it raises the shared ``finished`` number to that batch:
-    queued runs of the batch are cancelled, and running ones stop at their
-    next generation through the run's ``observer`` hook.
+    the batch dispatches no further runs, and running ones stop at their next
+    generation through the run's ``observer`` hook.
     """
 
     def __init__(self, workers: int) -> None:
         self.finished = multiprocessing.RawValue("q", 0)
         self.batches = 0
-        self.executor = ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(self.finished,)
-        )
+        self.idle: list[Connection] = []
+        self.busy: dict[Connection, int] = {}  # worker -> index of its run
+        self.processes: list[multiprocessing.Process] = []
+        try:
+            for _ in range(workers):
+                conn, child = multiprocessing.Pipe()
+                process = multiprocessing.Process(
+                    target=_serve, args=(child, self.finished), daemon=True
+                )
+                process.start()
+                child.close()  # so a dead worker reads as EOF here
+                self.processes.append(process)
+                self.idle.append(conn)
+        except BaseException:
+            self.close()
+            raise
 
     def run_batch(
         self, jobs: Sequence[tuple[str, ProblemSpec, GpConfig]], stop_on_failure: bool
@@ -73,15 +97,52 @@ class WorkerPool:
         only for the runs up to its first failing or raising one."""
         self.batches += 1
         batch = self.batches
-        futures = []
+        todo = deque(enumerate(jobs))  # runs not yet dispatched
+        replies: dict[int, RunResult | Exception] = {}
+
+        def result(index: int) -> RunResult:
+            while index not in replies:
+                while self.idle and todo:
+                    conn = self.idle.pop()
+                    run, job = todo.popleft()
+                    conn.send((batch, job))
+                    self.busy[conn] = run
+                self._receive(batch, replies)
+            outcome = replies.pop(index)
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
         try:
-            for job in jobs:
-                futures.append(self.executor.submit(_run_pooled, *job, batch))
-            return harness.collect_batch([fut.result for fut in futures], stop_on_failure)
+            runs = [partial(result, index) for index in range(len(jobs))]
+            return harness.collect_batch(runs, stop_on_failure)
         finally:
             self.finished.value = batch
-            for fut in futures:
-                fut.cancel()
+
+    def _receive(self, batch: int, replies: dict[int, RunResult | Exception]) -> None:
+        """Wait for replies; file those of ``batch`` and free their workers."""
+        for conn in wait(list(self.busy)):
+            try:
+                sent_in, outcome = conn.recv()
+            except (EOFError, OSError) as exc:
+                raise BrokenProcessPool("a pool worker exited during a run") from exc
+            run = self.busy.pop(conn)
+            self.idle.append(conn)
+            if sent_in == batch:  # an abandoned run's reply only frees its worker
+                replies[run] = outcome
+
+    def close(self) -> None:
+        """Stop and join every worker."""
+        conns = self.idle + list(self.busy)
+        for conn in conns:
+            try:
+                conn.send(None)
+            except OSError:  # the worker is gone
+                pass
+        for process in self.processes:
+            process.join()
+        for conn in conns:
+            conn.close()
 
 
 _open_pool: ContextVar[WorkerPool | None] = ContextVar("_open_pool", default=None)
@@ -91,8 +152,8 @@ _open_pool: ContextVar[WorkerPool | None] = ContextVar("_open_pool", default=Non
 def worker_pool(workers: int) -> Iterator[WorkerPool]:
     """The pool of the enclosing top-level call, opening one if there is none.
 
-    The call that opens the pool shuts it down on every exit, cancelling
-    queued runs and joining the workers.
+    The call that opens the pool closes it on every exit, which stops and
+    joins the workers.
     """
     pool = _open_pool.get()
     if pool is not None:
@@ -104,4 +165,4 @@ def worker_pool(workers: int) -> Iterator[WorkerPool]:
         yield pool
     finally:
         _open_pool.reset(token)
-        pool.executor.shutdown(wait=True, cancel_futures=True)
+        pool.close()

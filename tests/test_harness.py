@@ -95,6 +95,22 @@ def test_bisect_raises_past_the_ceiling():
         bisect_min_size(never, ceiling=8)  # below the starting size
 
 
+def test_sizing_failure_says_where_the_last_batch_stopped():
+    def runs(*outcomes):
+        return [RunResult(ok, 1, 0, 0.0) for ok in outcomes]
+
+    def message(results):
+        return str(SizingFailure(64, 64, results, [(64, False)]))
+
+    assert message(runs(True, False)).endswith(
+        "last batch stopped at its first failure after 2 runs, 1 of them solved")
+    assert message(runs(False)).endswith(
+        "last batch stopped at its first failure after 1 run, 0 of them solved")
+    assert message(runs(False, False, False)).endswith("last batch solved 0/3 runs")
+    assert message([]).endswith("last batch solved 0/0 runs")
+    assert SizingFailure(64, 64, runs(True, False), []).success_rate == 0.5
+
+
 def test_batch_success_is_deterministic():
     problem = order_problem(3)
     ok1, res1 = batch_success(problem, "gp", 16, n_runs=6, seed_base=5)
@@ -153,6 +169,63 @@ def test_pooled_batch_abandons_runs_past_the_first_failure(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_second_batch_on_an_open_pool_takes_no_reply_from_the_first(monkeypatch):
+    from gpscale.pool import worker_pool
+
+    def run(problem, cfg, observer=None):
+        if cfg.seed == 0:
+            return RunResult(False, 0, 0, 0.0)
+        if cfg.seed < 10:  # first batch: 20 s unless abandoned
+            for generation in range(2000):
+                try:
+                    observer(generation, [])
+                except Exception:  # told to stop: reply as if the run had ended
+                    return RunResult(True, 999, generation, 0.0)
+                time.sleep(0.01)
+        time.sleep(0.05 * (cfg.seed % 3))
+        return RunResult(True, cfg.seed, 0, 0.0)
+
+    monkeypatch.setattr(harness, "run_gp", run)  # inherited by forked workers
+    problem = order_problem(3)
+    serial = batch_success(problem, "gp", 16, n_runs=4, seed_base=10)
+    t0 = time.perf_counter()
+    with worker_pool(2):
+        first = batch_success(problem, "gp", 16, n_runs=4, stop_on_failure=True, workers=2)
+        second = batch_success(problem, "gp", 16, n_runs=4, seed_base=10, workers=2)
+    assert first == (False, [RunResult(False, 0, 0, 0.0)])
+    assert second == serial
+    assert time.perf_counter() - t0 < 10.0
+    assert multiprocessing.active_children() == []
+
+
+def _run_python(code):
+    """Run ``code`` in a fresh interpreter that imports this gpscale; its stdout."""
+    paths = [str(Path(harness.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_pooled_batch_under_spawn_matches_one_worker():
+    # spawned workers import gpscale afresh: everything a run needs travels
+    # in its job
+    code = (
+        "import multiprocessing\n"
+        "from gpscale.harness import batch_success\n"
+        "from gpscale.problems import trap_problem\n"
+        "if __name__ == '__main__':\n"
+        "    multiprocessing.set_start_method('spawn')\n"
+        "    args = (trap_problem(6, 3, 1.0), 'gp', 24, 6, 0)\n"
+        "    pooled = batch_success(*args, stop_on_failure=True, workers=2)\n"
+        "    serial = batch_success(*args, stop_on_failure=True)\n"
+        "    print(pooled == serial, len(pooled[1]), multiprocessing.active_children())\n"
+    )
+    assert _run_python(code) == "True 3 []"
+
+
 def _run(outcome=None):
     def run():
         if outcome is None:
@@ -183,13 +256,7 @@ def test_one_worker_sweep_loads_no_pool_code():
         "print(sorted(m for m in sys.modules if m == 'gpscale.pool'\n"
         "             or m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
     )
-    paths = [str(Path(harness.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _run_python(code) == "[]"
 
 
 def test_batch_success_rejects_unknown_algorithm():
