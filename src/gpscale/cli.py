@@ -7,11 +7,12 @@ Exit codes: 0 on success, 1 when a run or sizing fails, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import harness
-from .gp import GpConfig, run_gp
+from .gp import DEFAULT_MAX_GENERATIONS, GpConfig, run_gp
 from .pipe import dump_model, run_pipe
 from .problems import ProblemSpec, evaluate, express, order_problem, trap_problem
 from .trees import default_max_depth, inorder_leaves, parse_tree, validate_tree
@@ -22,28 +23,60 @@ def _print_kv(**pairs) -> None:
         print(f"{key}={harness._csv_value(value)}")
 
 
+def _at_least(lo: int) -> Callable[[str], int]:
+    """argparse ``type=`` for an integer flag that must be >= ``lo``."""
+
+    def integer(text: str) -> int:
+        if int(text) < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {text}")
+        return int(text)
+
+    return integer
+
+
 def _add_problem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--problem", choices=("order", "trap"), default="order",
                    help="fitness family (default: order)")
     p.add_argument("--l", type=int, required=True, metavar="N",
                    help="number of complementary terminal pairs")
-    p.add_argument("--k", type=int, default=3, metavar="K",
-                   help="trap group size (default: 3)")
-    p.add_argument("--delta", type=float, default=1.0, metavar="D",
-                   help="trap signal parameter in [0,1] (default: 1.0)")
+    _add_trap_flags(p)
     p.add_argument("--neg-join", action="store_true",
                    help="add the NEG_JOIN function to the alphabet")
     p.add_argument("--junk", type=int, default=0, metavar="N",
                    help="number of unique junk terminals (default: 0)")
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-gens", type=int, default=200, metavar="G",
-                   help="generation cap per run (default: 200)")
-    p.add_argument("--max-depth", type=int, default=None, metavar="D",
+def _add_trap_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--k", type=int, default=3, metavar="K",
+                   help="trap group size (default: %(default)s)")
+    p.add_argument("--delta", type=float, default=1.0, metavar="D",
+                   help="trap signal parameter in [0,1] (default: %(default)s)")
+
+
+def _add_engine_flags(p: argparse.ArgumentParser) -> None:
+    """One algorithm on one problem instance, as ``run`` and ``bisect`` take."""
+    p.add_argument("--algo", choices=harness.ALGORITHMS, required=True)
+    _add_problem_flags(p)
+    p.add_argument("--max-depth", type=_at_least(0), default=None, metavar="D",
                    help="tree depth budget in edges (default: derived from --l)")
+    _add_run_flags(p)
+
+
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-gens", type=_at_least(0), default=DEFAULT_MAX_GENERATIONS,
+                   metavar="G", help="generation cap per run (default: %(default)s)")
     p.add_argument("--seed", type=int, default=0, metavar="S",
-                   help="base random seed (default: 0)")
+                   help="base random seed (default: %(default)s)")
+
+
+def _add_sizing_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--runs", type=_at_least(1), default=harness.DEFAULT_RUNS, metavar="N",
+                   help="runs per batch, all of which must succeed (default: %(default)s)")
+    p.add_argument("--pop-ceiling", type=_at_least(harness.START_POP),
+                   default=harness.DEFAULT_POP_CEILING, metavar="N",
+                   help="abort sizing past this population size (default: %(default)s)")
+    p.add_argument("--workers", type=_at_least(1), default=1, metavar="N",
+                   help="parallel worker processes (default: %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,26 +88,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="execute one seeded run and print its result")
-    run.add_argument("--algo", choices=("gp", "pipe"), required=True)
-    _add_problem_flags(run)
+    _add_engine_flags(run)
     run.add_argument("--pop", type=int, required=True, metavar="N",
                      help="population size (even, >= 2)")
-    _add_run_flags(run)
     run.add_argument("--dump-model", action="store_true",
                      help="after a pipe run, print the last prototype-tree model")
 
     bisect = sub.add_parser("bisect", help="find the minimal population size "
                             "solving all runs, to a 10%% bracket")
-    bisect.add_argument("--algo", choices=("gp", "pipe"), required=True)
-    _add_problem_flags(bisect)
-    _add_run_flags(bisect)
-    bisect.add_argument("--runs", type=int, default=harness.DEFAULT_RUNS, metavar="N",
-                        help="runs per batch, all of which must succeed (default: 30)")
-    bisect.add_argument("--pop-ceiling", type=int, default=harness.DEFAULT_POP_CEILING,
-                        metavar="N", help="abort sizing past this population size "
-                        f"(default: {harness.DEFAULT_POP_CEILING})")
-    bisect.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="parallel worker processes per sizing (default: 1)")
+    _add_engine_flags(bisect)
+    _add_sizing_flags(bisect)
 
     sweep = sub.add_parser("sweep", help="size a plan of instances and write "
                            "CSV + SVG reports")
@@ -84,17 +107,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--sizes", type=str, default=None, metavar="A,B,...",
                        help="comma-separated override of the swept sizes of every "
                        "plan (junk counts for plan junk-fixed-l)")
-    sweep.add_argument("--k", type=int, default=3, metavar="K")
-    sweep.add_argument("--delta", type=float, default=1.0, metavar="D")
+    _add_trap_flags(sweep)
     sweep.add_argument("--out", type=str, required=True, metavar="DIR",
                        help="output directory for <plan>.csv and <plan>.svg")
-    sweep.add_argument("--runs", type=int, default=harness.DEFAULT_RUNS, metavar="N")
-    sweep.add_argument("--seed", type=int, default=0, metavar="S")
-    sweep.add_argument("--max-gens", type=int, default=200, metavar="G")
-    sweep.add_argument("--pop-ceiling", type=int, default=harness.DEFAULT_POP_CEILING,
-                       metavar="N")
-    sweep.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="parallel worker processes per sweep (default: 1)")
+    _add_run_flags(sweep)
+    _add_sizing_flags(sweep)
 
     express_p = sub.add_parser("express", help="parse a tree, print its leaf "
                                "walk, expression vector, and fitness")
@@ -125,8 +142,8 @@ def _cmd_run(args, parser) -> int:
             max_generations=args.max_gens,
             seed=args.seed,
         )
-    except ValueError as err:
-        parser.error(f"--pop/--max-depth/--max-gens: {err}")
+    except ValueError as err:  # --max-depth and --max-gens are checked on parsing
+        parser.error(f"--pop: {err}")
     last_model: list = []
     if args.algo == "pipe":
         observer = None
@@ -136,12 +153,7 @@ def _cmd_run(args, parser) -> int:
         result = run_pipe(problem, cfg, model_observer=observer)
     else:
         result = run_gp(problem, cfg)
-    _print_kv(
-        success=result.success,
-        evaluations=result.evaluations,
-        generations_used=result.generations_used,
-        best_fitness=result.best_fitness,
-    )
+    _print_kv(**dataclasses.asdict(result))
     if args.dump_model and last_model:
         print(dump_model(last_model[0]))
     return 0 if result.success else 1
@@ -213,7 +225,7 @@ def _cmd_sweep(args, parser) -> int:
             for name in names
         ]
     except ValueError as err:
-        parser.error(f"--plan/--sizes/--k: {err}")
+        parser.error(f"--plan/--sizes/--k/--delta: {err}")
     flagged = False
     for plan in plans:
         rows = harness.scalability_sweep(plan, workers=args.workers, log=print)

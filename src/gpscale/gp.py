@@ -18,6 +18,8 @@ REACHABILITY_CHECK_PERIOD = 5
 # Subtree crossover's point picks; see :func:`subtree_crossover`.
 INTERNAL_NODE_BIAS = 0.9
 CROSSOVER_RETRIES = 10
+# Generation cap of a run unless its caller sets one.
+DEFAULT_MAX_GENERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -26,7 +28,7 @@ class GpConfig:
 
     pop_size: int
     max_depth: int
-    max_generations: int = 200
+    max_generations: int = DEFAULT_MAX_GENERATIONS
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -174,17 +176,17 @@ def _evolve(
     problem: ProblemSpec,
     cfg: GpConfig,
     make_offspring: Callable[[int, list[Individual], random.Random], list[Node] | None],
-    rng: random.Random,
-    evaluator: Evaluator,
     observer: Callable[[int, list[Individual]], None] | None = None,
 ) -> RunResult:
-    """Shared generational loop; engines differ only in ``make_offspring``.
+    """One run seeded ``cfg.seed``; engines differ only in ``make_offspring``.
 
     Termination: optimum found (success), generation cap hit, or the optimum
     has become unreachable from the symbols left in the population (checked
     every few generations; failure either way).
     """
     with _collector_paused():
+        rng = random.Random(cfg.seed)
+        evaluator = Evaluator(problem)
         optimum = problem.optimum_fitness
         ps = problem.primitives
         # the reachability cut presumes only the all-positive vector is optimal,
@@ -197,24 +199,23 @@ def _evolve(
         while True:
             if observer is not None:
                 observer(generation, pop)
-            if best >= optimum:
-                return RunResult(True, evaluator.evaluations, generation, best)
-            if generation >= cfg.max_generations:
-                return RunResult(False, evaluator.evaluations, generation, best)
+            if best >= optimum or generation >= cfg.max_generations:
+                break
             if (
                 check_reachability
                 and generation % REACHABILITY_CHECK_PERIOD == 0
                 and not optimum_reachable([ind.tree for ind in pop], ps)
             ):
-                return RunResult(False, evaluator.evaluations, generation, best)
+                break
             offspring = make_offspring(generation, pop, rng)
             if offspring is None:  # variation hit a provably absorbing state
-                return RunResult(False, evaluator.evaluations, generation, best)
+                break
             pop = [Individual(t, evaluator(t)) for t in offspring]
             generation += 1
             gen_best = max(ind.fitness for ind in pop)
             if gen_best > best:
                 best = gen_best
+        return RunResult(best >= optimum, evaluator.evaluations, generation, best)
 
 
 def run_gp(
@@ -235,6 +236,4 @@ def run_gp(
             offspring.append(c2)
         return offspring
 
-    return _evolve(
-        problem, cfg, make_offspring, random.Random(cfg.seed), Evaluator(problem), observer
-    )
+    return _evolve(problem, cfg, make_offspring, observer)

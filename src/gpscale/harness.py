@@ -21,7 +21,7 @@ from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence, get_type_hints
 
-from .gp import GpConfig, Individual, RunResult, run_gp
+from .gp import DEFAULT_MAX_GENERATIONS, GpConfig, Individual, RunResult, run_gp
 from .pipe import run_pipe
 from .problems import ProblemSpec, order_problem, trap_problem
 from .trees import default_max_depth
@@ -131,7 +131,7 @@ def batch_success(
     seed_base: int = 0,
     *,
     max_depth: int | None = None,
-    max_generations: int = 200,
+    max_generations: int = DEFAULT_MAX_GENERATIONS,
     workers: int = 1,
     stop_on_failure: bool = False,
 ) -> tuple[bool, list[RunResult]]:
@@ -140,6 +140,8 @@ def batch_success(
     (the boolean is unaffected; the result list is then partial).  The result
     does not depend on ``workers``.
     """
+    if n_runs < 1:
+        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     if max_depth is None:
         max_depth = default_max_depth(problem.primitives.num_pairs)
     jobs = [
@@ -213,7 +215,7 @@ def bisect_population_size(
     *,
     n_runs: int = DEFAULT_RUNS,
     max_depth: int | None = None,
-    max_generations: int = 200,
+    max_generations: int = DEFAULT_MAX_GENERATIONS,
     ceiling: int = DEFAULT_POP_CEILING,
     workers: int = 1,
 ) -> SizingResult:
@@ -289,7 +291,7 @@ class SweepPlan:
     name: str
     rows: tuple[RowSpec, ...]
     n_runs: int = DEFAULT_RUNS
-    max_generations: int = 200
+    max_generations: int = DEFAULT_MAX_GENERATIONS
     ceiling: int = DEFAULT_POP_CEILING
     x_field: str = "l"  # "num_junk" for the fixed-size junk study
 
@@ -311,7 +313,7 @@ def build_plan(
     delta: float = 1.0,
     seed_base: int = 0,
     n_runs: int = DEFAULT_RUNS,
-    max_generations: int = 200,
+    max_generations: int = DEFAULT_MAX_GENERATIONS,
     ceiling: int = DEFAULT_POP_CEILING,
 ) -> SweepPlan:
     """Expand a named plan into per-cell row specs.
@@ -319,7 +321,9 @@ def build_plan(
     ``order``/``trap``/``order-neg`` sweep problem size; ``order-junk`` adds
     l/5 junk terminals per size; ``junk-fixed-l`` holds l=20 and sweeps the
     junk count at depth budgets 6 and 7.  ``sizes`` overrides the swept list
-    (problem sizes, or junk counts for ``junk-fixed-l``).
+    (problem sizes, or junk counts for ``junk-fixed-l``).  Each cell's
+    problem is built here, so a size, ``k`` or ``delta`` it rejects raises
+    ValueError before any run.
     """
     for algo in algorithms:
         if algo not in ALGORITHMS:
@@ -332,8 +336,6 @@ def build_plan(
                 specs.append(RowSpec(algo, "order", l))
     elif name == "trap":
         for l in sizes or _TRAP_SIZES:
-            if l % k:
-                raise ValueError(f"trap size {l} is not divisible by k={k}")
             for algo in algorithms:
                 specs.append(RowSpec(algo, "trap", l, k=k, delta=delta))
     elif name == "order-neg":
@@ -356,6 +358,8 @@ def build_plan(
                     )
     else:
         raise ValueError(f"unknown plan {name!r}; expected one of {PLAN_NAMES}")
+    for spec in specs:
+        spec.problem_spec()
     rows = tuple(
         dataclasses.replace(s, seed_base=seed_base + _ROW_SEED_STRIDE * i)
         for i, s in enumerate(specs)
@@ -370,7 +374,10 @@ def scalability_sweep(
     log: Callable[[str], None] | None = None,
 ) -> list[SweepRow]:
     """Size every cell of the plan; cells that hit the population ceiling are
-    flagged with success_rate < 1 instead of aborting the sweep.
+    flagged with success_rate < 1 instead of aborting the sweep.  A flagged
+    cell's ``success_rate`` and ``avg_evaluations`` come from the ceiling
+    batch, which stopped at its first failure: after m solved runs the rate
+    reads m/(m+1), not a measured rate, and the average covers those m runs.
 
     With ``workers > 1`` one process pool serves the whole sweep.  An error
     from a run, or a crashed worker (``BrokenProcessPool``), fails the sweep.

@@ -14,7 +14,7 @@ from bisect import bisect_right
 from typing import Callable
 
 from .primitives import arity, symbol_sort_key
-from .problems import Evaluator, ProblemSpec
+from .problems import ProblemSpec
 from .trees import Node, leaf
 from .gp import GpConfig, Individual, RunResult, _evolve, binary_tournament
 
@@ -143,6 +143,4 @@ def run_pipe(
             model_observer(generation, model)
         return [sample_model(model, rng) for _ in range(cfg.pop_size)]
 
-    return _evolve(
-        problem, cfg, make_offspring, random.Random(cfg.seed), Evaluator(problem), observer
-    )
+    return _evolve(problem, cfg, make_offspring, observer)

@@ -142,38 +142,20 @@ def generate_random_tree(
     """
     if depth_limit < 0:
         raise ValueError(f"depth_limit must be >= 0, got {depth_limit}")
-    if method == "full":
-        return _full(ps.functions, ps.terminals, depth_limit, rng)
-    if method == "grow":
-        return _grow(ps.alphabet, ps.terminals, depth_limit, rng)
-    raise ValueError(f"unknown generation method {method!r}")
+    symbols = {"full": ps.functions, "grow": ps.alphabet}.get(method)
+    if symbols is None:
+        raise ValueError(f"unknown generation method {method!r}")
+    return _random_tree(symbols, ps.terminals, depth_limit, rng)
 
 
-def _full(functions, terminals, depth_left: int, rng: random.Random) -> Node:
+def _random_tree(symbols, terminals, depth_left: int, rng: random.Random) -> Node:
     if depth_left == 0:
         return leaf(rng.choice(terminals))
-    return Node(
-        rng.choice(functions),
-        (
-            _full(functions, terminals, depth_left - 1, rng),
-            _full(functions, terminals, depth_left - 1, rng),
-        ),
-    )
-
-
-def _grow(alphabet, terminals, depth_left: int, rng: random.Random) -> Node:
-    if depth_left == 0:
-        return leaf(rng.choice(terminals))
-    symbol = rng.choice(alphabet)
+    symbol = rng.choice(symbols)
     if not arity(symbol):
         return leaf(symbol)
-    return Node(
-        symbol,
-        (
-            _grow(alphabet, terminals, depth_left - 1, rng),
-            _grow(alphabet, terminals, depth_left - 1, rng),
-        ),
-    )
+    left = _random_tree(symbols, terminals, depth_left - 1, rng)  # left subtree draws first
+    return Node(symbol, (left, _random_tree(symbols, terminals, depth_left - 1, rng)))
 
 
 def ramp_schedule(pop_size: int, max_depth: int) -> list[tuple[int, str]]:

@@ -241,3 +241,37 @@ def test_help_lists_subcommands(capsys):
     out = capsys.readouterr().out
     for sub in ("run", "bisect", "sweep", "express"):
         assert sub in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["bisect", "--pop-ceiling", "8"],
+    ["bisect", "--max-gens", "-1"],
+    ["bisect", "--max-depth", "-1"],
+    ["bisect", "--runs", "0"],
+    ["bisect", "--workers", "0"],
+    ["sweep", "--pop-ceiling", "8"],
+    ["sweep", "--runs", "0"],
+    ["sweep", "--workers", "0"],
+    ["sweep", "--max-gens", "-1"],
+    ["sweep", "--plan", "trap", "--k", "0"],
+    ["sweep", "--plan", "trap", "--k", "1"],
+    ["sweep", "--plan", "trap", "--delta", "2"],
+    ["sweep", "--plan", "order", "--sizes", "3,0"],
+], ids=" ".join)
+def test_out_of_range_flags_are_usage_errors_before_any_run(
+    argv, tmp_path, capsys, monkeypatch
+):
+    runs = []
+    for name in ("run_gp", "run_pipe"):
+        monkeypatch.setattr(harness, name, lambda *args, **kwargs: runs.append(args))
+    out_dir = tmp_path / "results"
+    if argv[0] == "bisect":
+        argv = [*argv, "--algo", "gp", "--l", "3"]
+    else:
+        argv = [*argv, "--out", str(out_dir)]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, *argv)
+    assert exc.value.code == 2
+    assert "usage: gpscale" in capsys.readouterr().err
+    assert runs == []
+    assert not out_dir.exists()

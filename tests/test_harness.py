@@ -264,6 +264,11 @@ def test_batch_success_rejects_unknown_algorithm():
         batch_success(order_problem(2), "annealing", 8, n_runs=1)
 
 
+def test_batch_success_rejects_an_empty_batch():
+    with pytest.raises(ValueError, match="n_runs"):
+        batch_success(order_problem(2), "gp", 8, n_runs=0)
+
+
 def test_bisect_population_size_trivial_instance():
     sizing = bisect_population_size(order_problem(1), "gp", seed_base=3, n_runs=10)
     assert sizing.min_pop_size <= 8
@@ -299,6 +304,18 @@ def test_build_plan_variants():
         build_plan("nope")
     with pytest.raises(ValueError):
         build_plan("order", algorithms=("gp", "sa"))
+
+
+@pytest.mark.parametrize("name, kwargs", [
+    ("trap", dict(k=0)),
+    ("trap", dict(k=1)),
+    ("trap", dict(delta=2.0)),
+    ("order", dict(sizes=(3, 0))),
+    ("junk-fixed-l", dict(sizes=(5, -1))),
+])
+def test_build_plan_checks_every_cell_with_the_problem_rules(name, kwargs):
+    with pytest.raises(ValueError):
+        build_plan(name, **kwargs)
 
 
 def _tiny_plan(seed_base=0):
