@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from pathlib import Path
 from typing import Callable, Sequence
 
 from . import harness
@@ -80,6 +81,9 @@ def _add_sizing_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``gpscale`` parser; each subcommand's parser sets ``handler`` and
+    itself as ``parser``, so a handler reports usage errors under its own
+    usage line."""
     parser = argparse.ArgumentParser(
         prog="gpscale",
         description="Tree GP and prototype-tree recombination on the ORDER and "
@@ -93,11 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
                      help="population size (even, >= 2)")
     run.add_argument("--dump-model", action="store_true",
                      help="after a pipe run, print the last prototype-tree model")
+    run.set_defaults(handler=_cmd_run, parser=run)
 
     bisect = sub.add_parser("bisect", help="find the minimal population size "
                             "solving all runs, to a 10%% bracket")
     _add_engine_flags(bisect)
     _add_sizing_flags(bisect)
+    bisect.set_defaults(handler=_cmd_bisect, parser=bisect)
 
     sweep = sub.add_parser("sweep", help="size a plan of instances and write "
                            "CSV + SVG reports")
@@ -112,12 +118,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory for <plan>.csv and <plan>.svg")
     _add_run_flags(sweep)
     _add_sizing_flags(sweep)
+    sweep.set_defaults(handler=_cmd_sweep, parser=sweep)
 
     express_p = sub.add_parser("express", help="parse a tree, print its leaf "
                                "walk, expression vector, and fitness")
     _add_problem_flags(express_p)
     express_p.add_argument("tree", help="prefix tree text, e.g. "
                            "'(JOIN (NEG_JOIN X1 ~X2) J3)'")
+    express_p.set_defaults(handler=_cmd_express, parser=express_p)
     return parser
 
 
@@ -226,6 +234,10 @@ def _cmd_sweep(args, parser) -> int:
         ]
     except ValueError as err:
         parser.error(f"--plan/--sizes/--k/--delta: {err}")
+    try:  # before any run, so an unusable directory costs no sizing
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        parser.error(f"--out: {err}")
     flagged = False
     for plan in plans:
         rows = harness.scalability_sweep(plan, workers=args.workers, log=print)
@@ -262,18 +274,9 @@ def _cmd_express(args, parser) -> int:
     return 0
 
 
-_COMMANDS = {
-    "run": _cmd_run,
-    "bisect": _cmd_bisect,
-    "sweep": _cmd_sweep,
-    "express": _cmd_express,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return _COMMANDS[args.command](args, parser)
+    args = build_parser().parse_args(argv)
+    return args.handler(args, args.parser)
 
 
 if __name__ == "__main__":

@@ -104,21 +104,18 @@ def _worker_pool(workers: int) -> AbstractContextManager[WorkerPool | None]:
     return worker_pool(workers)
 
 
-def collect_batch(
-    runs: Sequence[Callable[[], RunResult]], stop_on_failure: bool
-) -> list[RunResult]:
+def collect_batch(runs: Sequence[Callable[[], RunResult]]) -> list[RunResult]:
     """Call the runs of a batch in seed order and return their results.
 
     A run is a zero-argument callable: the run itself at one worker, its
-    future's ``result`` in a pool.  Stops after the first run that raises
-    (re-raised here) or, with ``stop_on_failure``, fails; the runs after it
-    are never called.
+    future's ``result`` in a pool.  Stops after the first run that fails or
+    raises (re-raised here); the runs after it are never called.
     """
     results: list[RunResult] = []
     for run in runs:
         result = run()
         results.append(result)
-        if stop_on_failure and not result.success:
+        if not result.success:
             break
     return results
 
@@ -133,12 +130,11 @@ def batch_success(
     max_depth: int | None = None,
     max_generations: int = DEFAULT_MAX_GENERATIONS,
     workers: int = 1,
-    stop_on_failure: bool = False,
 ) -> tuple[bool, list[RunResult]]:
     """Run ``n_runs`` independent runs seeded ``seed_base + i``; True iff all
-    succeed.  ``stop_on_failure`` cuts the batch short at the first failure
-    (the boolean is unaffected; the result list is then partial).  The result
-    does not depend on ``workers``.
+    succeed.  The batch stops at its first failing run, so a failed batch
+    returns a partial list that ends with that run.  The result does not
+    depend on ``workers``.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
@@ -159,11 +155,11 @@ def batch_success(
     ]
     with _worker_pool(workers) as pool:
         if pool is not None:
-            results = pool.run_batch(jobs, stop_on_failure)
+            results = pool.run_batch(jobs)
         else:
             runs = [partial(run_algorithm, *job) for job in jobs]
-            results = collect_batch(runs, stop_on_failure)
-    return all(r.success for r in results) and len(results) == n_runs, results
+            results = collect_batch(runs)
+    return all(r.success for r in results), results
 
 
 def _nearest_even(x: float) -> int:
@@ -221,9 +217,8 @@ def bisect_population_size(
 ) -> SizingResult:
     """Size ``algo`` on ``problem``; each probed size gets its own seed stream.
 
-    Probe batches stop at their first failing run (only the final, fully
-    successful batch feeds the reported average); the returned result always
-    contains ``n_runs`` successful runs.
+    Only the final, fully successful batch feeds the reported average; the
+    returned result always contains ``n_runs`` successful runs.
     """
 
     def batch(pop_size: int) -> tuple[bool, list[RunResult]]:
@@ -236,7 +231,6 @@ def bisect_population_size(
             max_depth=max_depth,
             max_generations=max_generations,
             workers=workers,
-            stop_on_failure=True,
         )
 
     with _worker_pool(workers):
@@ -293,7 +287,11 @@ class SweepPlan:
     n_runs: int = DEFAULT_RUNS
     max_generations: int = DEFAULT_MAX_GENERATIONS
     ceiling: int = DEFAULT_POP_CEILING
-    x_field: str = "l"  # "num_junk" for the fixed-size junk study
+
+    @property
+    def x_field(self) -> str:
+        """The ``SweepRow`` field a plot puts on its x axis."""
+        return "num_junk" if self.name == "junk-fixed-l" else "l"
 
 
 PLAN_NAMES = ("order", "trap", "order-neg", "order-junk", "junk-fixed-l")
@@ -329,7 +327,6 @@ def build_plan(
         if algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
     specs: list[RowSpec] = []
-    x_field = "l"
     if name == "order":
         for l in sizes or _ORDER_SIZES:
             for algo in algorithms:
@@ -349,7 +346,6 @@ def build_plan(
             for algo in algorithms:
                 specs.append(RowSpec(algo, "order", l, num_junk=l // 5))
     elif name == "junk-fixed-l":
-        x_field = "num_junk"
         for depth in _JUNK_FIXED_DEPTHS:
             for junk in sizes or _JUNK_FIXED_COUNTS:
                 for algo in algorithms:
@@ -364,7 +360,7 @@ def build_plan(
         dataclasses.replace(s, seed_base=seed_base + _ROW_SEED_STRIDE * i)
         for i, s in enumerate(specs)
     )
-    return SweepPlan(name, rows, n_runs, max_generations, ceiling, x_field)
+    return SweepPlan(name, rows, n_runs, max_generations, ceiling)
 
 
 def scalability_sweep(

@@ -90,12 +90,6 @@ def sample_model(model: ModelNode, rng: random.Random) -> Node:
     return node
 
 
-def model_depth(model: ModelNode) -> int:
-    if not model.children:
-        return 0
-    return 1 + max(model_depth(c) for c in model.children)
-
-
 def dump_model(model: ModelNode) -> str:
     """One line per node: ``path: {SYMBOL=prob,...}``, probabilities to six
     decimals, symbols in canonical order, root path ``/``."""

@@ -89,9 +89,7 @@ class WorkerPool:
             self.close()
             raise
 
-    def run_batch(
-        self, jobs: Sequence[tuple[str, ProblemSpec, GpConfig]], stop_on_failure: bool
-    ) -> list[RunResult]:
+    def run_batch(self, jobs: Sequence[tuple[str, ProblemSpec, GpConfig]]) -> list[RunResult]:
         """The same run list a one-worker batch returns: results are read in
         seed order through :func:`harness.collect_batch`, so the batch waits
         only for the runs up to its first failing or raising one."""
@@ -115,7 +113,7 @@ class WorkerPool:
 
         try:
             runs = [partial(result, index) for index in range(len(jobs))]
-            return harness.collect_batch(runs, stop_on_failure)
+            return harness.collect_batch(runs)
         finally:
             self.finished.value = batch
 

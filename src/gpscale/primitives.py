@@ -87,20 +87,5 @@ class PrimitiveSet:
     def alphabet(self) -> tuple[str, ...]:
         return self.functions + self.terminals
 
-    @cached_property
-    def leaf_info(self) -> dict[str, tuple[int, bool] | None]:
-        """Terminal symbol -> (0-based pair index, is_positive); None for junk."""
-        info: dict[str, tuple[int, bool] | None] = {}
-        for i in range(1, self.num_pairs + 1):
-            info[positive_terminal(i)] = (i - 1, True)
-            info[negative_terminal(i)] = (i - 1, False)
-        for j in range(1, self.num_junk + 1):
-            info[junk_terminal(j)] = None
-        return info
-
     def __contains__(self, symbol: str) -> bool:
-        if symbol == JOIN:
-            return True
-        if symbol == NEG_JOIN:
-            return self.neg_join
-        return symbol in self.leaf_info
+        return symbol in self.functions or symbol in self.terminals

@@ -57,9 +57,9 @@ class ProblemSpec:
         return tuple(trap_subfunction(u, self.trap) for u in range(self.trap.k + 1))
 
     def mask_fitness(self, eff: int) -> float:
-        """Fitness of the expressed bit vector whose bit i is ``eff >> i & 1``;
-        :func:`order_fitness` and :func:`trap_fitness` score the same vector as
-        a list."""
+        """Fitness of the expressed bit vector whose bit i is ``eff >> i & 1``:
+        one unit per expressed positive terminal on ORDER, the sum of the trap
+        subfunction over consecutive k-bit groups on TRAP."""
         l = self.primitives.num_pairs
         if self.trap is None:
             return float((eff & ((1 << l) - 1)).bit_count())
@@ -143,11 +143,6 @@ def expression_summary(tree: Node) -> Summary:
     return summary
 
 
-def order_fitness(bits: list[bool]) -> float:
-    """One fitness unit per expressed positive terminal."""
-    return float(sum(bits))
-
-
 def trap_subfunction(u: int, tp: TrapParams) -> float:
     """Deceptive trap over one k-bit group: 1 at u=k, else (1-delta)(1-u/(k-1))."""
     if not 0 <= u <= tp.k:
@@ -155,16 +150,6 @@ def trap_subfunction(u: int, tp: TrapParams) -> float:
     if u == tp.k:
         return 1.0
     return (1.0 - tp.delta) * (1.0 - u / (tp.k - 1))
-
-
-def trap_fitness(bits: list[bool], tp: TrapParams) -> float:
-    """Sum of the trap subfunction over consecutive k-bit groups."""
-    if len(bits) % tp.k:
-        raise ValueError(f"bit count {len(bits)} is not divisible by k={tp.k}")
-    total = 0.0
-    for start in range(0, len(bits), tp.k):
-        total += trap_subfunction(sum(bits[start : start + tp.k]), tp)
-    return total
 
 
 def evaluate(tree: Node, problem: ProblemSpec) -> float:

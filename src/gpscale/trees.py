@@ -101,11 +101,8 @@ def inorder_leaves(tree: Node) -> list[tuple[str, bool]]:
     return out
 
 
-def validate_tree(tree: Node, ps: PrimitiveSet, max_depth: int | None = None) -> None:
-    """Raise ValueError on an arity violation, a symbol outside ``ps``, or
-    (when ``max_depth`` is given) a depth-budget violation."""
-    if max_depth is not None and tree.depth > max_depth:
-        raise ValueError(f"tree depth {tree.depth} exceeds max depth {max_depth}")
+def validate_tree(tree: Node, ps: PrimitiveSet) -> None:
+    """Raise ValueError on an arity violation or a symbol outside ``ps``."""
     for node in iter_nodes(tree):
         if node.symbol not in ps:
             raise ValueError(f"symbol {node.symbol!r} is not in the primitive set {ps}")

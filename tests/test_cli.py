@@ -2,7 +2,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from gpscale import harness
+from gpscale import cli, harness
 from gpscale.cli import main
 
 
@@ -243,6 +243,15 @@ def test_help_lists_subcommands(capsys):
         assert sub in out
 
 
+def _stub_runs(monkeypatch):
+    """Replace every run entry point with a stub; the list of runs it started."""
+    runs = []
+    for module in (harness, cli):
+        for name in ("run_gp", "run_pipe"):
+            monkeypatch.setattr(module, name, lambda *args, **kwargs: runs.append(args))
+    return runs
+
+
 @pytest.mark.parametrize("argv", [
     ["bisect", "--pop-ceiling", "8"],
     ["bisect", "--max-gens", "-1"],
@@ -257,21 +266,41 @@ def test_help_lists_subcommands(capsys):
     ["sweep", "--plan", "trap", "--k", "1"],
     ["sweep", "--plan", "trap", "--delta", "2"],
     ["sweep", "--plan", "order", "--sizes", "3,0"],
+    ["run", "--pop", "3"],
+    ["bisect", "--problem", "trap", "--l", "7"],
+    ["express", "--l", "2", "(JOIN X1 X9)"],
 ], ids=" ".join)
 def test_out_of_range_flags_are_usage_errors_before_any_run(
     argv, tmp_path, capsys, monkeypatch
 ):
-    runs = []
-    for name in ("run_gp", "run_pipe"):
-        monkeypatch.setattr(harness, name, lambda *args, **kwargs: runs.append(args))
+    runs = _stub_runs(monkeypatch)
     out_dir = tmp_path / "results"
-    if argv[0] == "bisect":
-        argv = [*argv, "--algo", "gp", "--l", "3"]
-    else:
-        argv = [*argv, "--out", str(out_dir)]
+    required = {  # the case's own flags come later, so they win
+        "run": ["--algo", "gp", "--l", "3"],
+        "bisect": ["--algo", "gp", "--l", "3"],
+        "sweep": ["--out", str(out_dir)],
+        "express": [],
+    }[argv[0]]
     with pytest.raises(SystemExit) as exc:
-        run_cli(capsys, *argv)
+        run_cli(capsys, argv[0], *required, *argv[1:])
     assert exc.value.code == 2
-    assert "usage: gpscale" in capsys.readouterr().err
+    assert f"usage: gpscale {argv[0]}" in capsys.readouterr().err
     assert runs == []
     assert not out_dir.exists()
+
+
+def test_sweep_out_that_is_a_file_is_a_usage_error_before_any_run(
+    tmp_path, capsys, monkeypatch
+):
+    runs = _stub_runs(monkeypatch)
+    out_file = tmp_path / "results"
+    out_file.write_text("not a directory\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "sweep", "--plan", "order", "--sizes", "3", "--runs", "2",
+                "--out", str(out_file))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "usage: gpscale sweep" in captured.err
+    assert "row " not in captured.out
+    assert runs == []
+    assert out_file.read_text() == "not a directory\n"

@@ -130,9 +130,7 @@ def test_batch_success_trivial_instance_all_succeed():
 
 def test_batch_success_undersized_population_fails():
     # two trees cannot even hold one positive terminal per pair for l=100
-    ok, results = batch_success(
-        order_problem(100), "gp", 2, n_runs=3, seed_base=0, stop_on_failure=True
-    )
+    ok, results = batch_success(order_problem(100), "gp", 2, n_runs=3, seed_base=0)
     assert not ok
     assert len(results) == 1  # stopped at the first failure
 
@@ -140,11 +138,9 @@ def test_batch_success_undersized_population_fails():
 def test_pooled_batch_returns_the_one_worker_partial_list():
     # runs 0, 1 solve and run 2 fails; runs 3-5 are not needed
     problem = trap_problem(6, 3, 1.0)
-    serial = batch_success(problem, "gp", 24, n_runs=6, seed_base=0, stop_on_failure=True)
+    serial = batch_success(problem, "gp", 24, n_runs=6, seed_base=0)
     assert [r.success for r in serial[1]] == [True, True, False]
-    pooled = batch_success(
-        problem, "gp", 24, n_runs=6, seed_base=0, stop_on_failure=True, workers=2
-    )
+    pooled = batch_success(problem, "gp", 24, n_runs=6, seed_base=0, workers=2)
     assert pooled == serial
     assert multiprocessing.active_children() == []
 
@@ -161,9 +157,7 @@ def test_pooled_batch_abandons_runs_past_the_first_failure(monkeypatch):
 
     monkeypatch.setattr(harness, "run_gp", run)  # inherited by forked workers
     t0 = time.perf_counter()
-    ok, results = batch_success(
-        order_problem(3), "gp", 16, n_runs=4, stop_on_failure=True, workers=2
-    )
+    ok, results = batch_success(order_problem(3), "gp", 16, n_runs=4, workers=2)
     assert (ok, results) == (False, [RunResult(False, 0, 0, 0.0)])
     assert time.perf_counter() - t0 < 10.0
     assert multiprocessing.active_children() == []
@@ -190,7 +184,7 @@ def test_second_batch_on_an_open_pool_takes_no_reply_from_the_first(monkeypatch)
     serial = batch_success(problem, "gp", 16, n_runs=4, seed_base=10)
     t0 = time.perf_counter()
     with worker_pool(2):
-        first = batch_success(problem, "gp", 16, n_runs=4, stop_on_failure=True, workers=2)
+        first = batch_success(problem, "gp", 16, n_runs=4, workers=2)
         second = batch_success(problem, "gp", 16, n_runs=4, seed_base=10, workers=2)
     assert first == (False, [RunResult(False, 0, 0, 0.0)])
     assert second == serial
@@ -219,8 +213,8 @@ def test_pooled_batch_under_spawn_matches_one_worker():
         "if __name__ == '__main__':\n"
         "    multiprocessing.set_start_method('spawn')\n"
         "    args = (trap_problem(6, 3, 1.0), 'gp', 24, 6, 0)\n"
-        "    pooled = batch_success(*args, stop_on_failure=True, workers=2)\n"
-        "    serial = batch_success(*args, stop_on_failure=True)\n"
+        "    pooled = batch_success(*args, workers=2)\n"
+        "    serial = batch_success(*args)\n"
         "    print(pooled == serial, len(pooled[1]), multiprocessing.active_children())\n"
     )
     assert _run_python(code) == "True 3 []"
@@ -239,13 +233,13 @@ def _run(outcome=None):
 
 def test_collect_batch_ends_at_the_first_ending_run_in_seed_order():
     runs = [_run(True), _run(False), _run(False), _run()]
-    assert [r.success for r in collect_batch(runs, True)] == [True, False]
-    assert len(collect_batch(runs[:3], False)) == 3
+    assert [r.success for r in collect_batch(runs)] == [True, False]
+    assert len(collect_batch([_run(True)] * 3)) == 3
     with pytest.raises(ValueError):
-        collect_batch([_run(True), _run(ValueError("run 1")), _run()], True)
+        collect_batch([_run(True), _run(ValueError("run 1")), _run()])
     failed_then_raised = [_run(False), _run(ValueError())]
-    assert [r.success for r in collect_batch(failed_then_raised, True)] == [False]
-    assert collect_batch([], True) == []
+    assert [r.success for r in collect_batch(failed_then_raised)] == [False]
+    assert collect_batch([]) == []
 
 
 def test_one_worker_sweep_loads_no_pool_code():
@@ -293,6 +287,8 @@ def test_build_plan_variants():
     assert all(r.neg_join for r in neg.rows)
     fixed = build_plan("junk-fixed-l", algorithms=("gp",))
     assert fixed.x_field == "num_junk"
+    assert SweepPlan("junk-fixed-l", fixed.rows).x_field == "num_junk"
+    assert SweepPlan("order-junk", fixed.rows).x_field == "l"
     assert {r.max_depth for r in fixed.rows} == {6, 7}
     assert {r.num_junk for r in fixed.rows} == {5, 10, 15, 20, 40}
     assert all(r.l == 20 for r in fixed.rows)

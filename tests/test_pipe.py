@@ -10,7 +10,6 @@ from gpscale.gp import GpConfig
 from gpscale.pipe import (
     build_model,
     dump_model,
-    model_depth,
     run_pipe,
     sample_model,
 )
@@ -58,6 +57,12 @@ def _model_nodes(model):
         node = stack.pop()
         yield node
         stack.extend(node.children)
+
+
+def model_depth(model):
+    if not model.children:
+        return 0
+    return 1 + max(model_depth(c) for c in model.children)
 
 
 def _assert_within_model(tree, model):

@@ -12,9 +12,7 @@ from gpscale.problems import (
     evaluate,
     express,
     optimum_reachable,
-    order_fitness,
     order_problem,
-    trap_fitness,
     trap_problem,
     trap_subfunction,
 )
@@ -65,6 +63,21 @@ def oracle_evaluate(tree, problem):
     for start in range(0, len(bits), tp.k):
         total += oracle_trap_value(sum(bits[start : start + tp.k]), tp.k, tp.delta)
     return float(total)
+
+
+def order_fitness(bits):
+    """One fitness unit per expressed positive terminal."""
+    return float(sum(bits))
+
+
+def trap_fitness(bits, tp):
+    """Sum of the trap subfunction over consecutive k-bit groups."""
+    if len(bits) % tp.k:
+        raise ValueError(f"bit count {len(bits)} is not divisible by k={tp.k}")
+    total = 0.0
+    for start in range(0, len(bits), tp.k):
+        total += trap_subfunction(sum(bits[start : start + tp.k]), tp)
+    return total
 
 
 def all_trees(ps, max_depth):
@@ -126,10 +139,9 @@ def _flagged_leaf_expression(tree, ps):
     """Reference expression computed from inorder_leaves only."""
     first = {}
     for symbol, negated in inorder_leaves(tree):
-        info = ps.leaf_info[symbol]
-        if info is None:
+        if symbol.startswith("J"):
             continue
-        index, positive = info
+        index, positive = int(symbol.lstrip("~X")) - 1, not symbol.startswith("~")
         if index not in first:
             first[index] = positive != negated
     return [first.get(i, False) for i in range(ps.num_pairs)]

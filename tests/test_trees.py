@@ -57,13 +57,20 @@ def test_primitive_set_validation():
         PrimitiveSet(3, num_junk=-1)
 
 
-def test_leaf_info():
-    ps = PrimitiveSet(2, num_junk=1)
-    assert ps.leaf_info["X1"] == (0, True)
-    assert ps.leaf_info["~X2"] == (1, False)
-    assert ps.leaf_info["J1"] is None
-    assert "NEG_JOIN" not in ps
-    assert "JOIN" in ps
+@pytest.mark.parametrize("symbol, neg_join, member", [
+    ("JOIN", False, True),
+    ("NEG_JOIN", False, False),
+    ("NEG_JOIN", True, True),
+    ("X1", False, True),
+    ("~X3", False, True),  # ~Xl, the last negative terminal
+    ("X4", False, False),  # X{l+1}
+    ("J2", False, True),  # J{n}, the last junk terminal
+    ("J3", False, False),  # J{n+1}
+    ("J0", False, False),
+    ("bogus", False, False),
+])
+def test_primitive_set_membership(symbol, neg_join, member):
+    assert (symbol in PrimitiveSet(3, num_junk=2, neg_join=neg_join)) is member
 
 
 def test_symbol_sort_key_orders_canonically():
@@ -129,7 +136,8 @@ def test_full_tree_is_complete():
 @given(random_trees())
 def test_generated_trees_are_valid_and_within_limit(case):
     ps, tree, limit = case
-    validate_tree(tree, ps, max_depth=limit)
+    validate_tree(tree, ps)
+    assert tree.depth <= limit
 
 
 @given(random_trees())
@@ -202,7 +210,7 @@ def test_ramped_population_respects_depth_budget():
     assert len(pop) == 64
     assert all(t.depth <= 3 for t in pop)
     for tree in pop:
-        validate_tree(tree, ps, max_depth=3)
+        validate_tree(tree, ps)
     with pytest.raises(ValueError):
         ramped_half_and_half(ps, 1, 3, random.Random(0))
 
@@ -286,8 +294,6 @@ def test_validate_tree_rejects_foreign_symbols_and_bad_arity():
         validate_tree(parse_tree("(NEG_JOIN X1 X2)"), ps)
     with pytest.raises(ValueError):
         validate_tree(Node(JOIN, (Node("X1"),)), ps)
-    with pytest.raises(ValueError):
-        validate_tree(parse_tree("(JOIN (JOIN X1 X2) X1)"), ps, max_depth=1)
 
 
 def test_node_equality_is_structural():
