@@ -13,8 +13,8 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import harness
-from .gp import DEFAULT_MAX_GENERATIONS, GpConfig, run_gp
-from .pipe import dump_model, run_pipe
+from .gp import DEFAULT_MAX_GENERATIONS, GpConfig
+from .pipe import dump_model
 from .problems import ProblemSpec, evaluate, express, order_problem, trap_problem
 from .trees import default_max_depth, inorder_leaves, parse_tree, validate_tree
 
@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--pop", type=int, required=True, metavar="N",
                      help="population size (even, >= 2)")
     run.add_argument("--dump-model", action="store_true",
-                     help="after a pipe run, print the last prototype-tree model")
+                     help="print the run's last prototype-tree model (--algo pipe only)")
     run.set_defaults(handler=_cmd_run, parser=run)
 
     bisect = sub.add_parser("bisect", help="find the minimal population size "
@@ -139,6 +139,8 @@ def _build_problem(args, parser: argparse.ArgumentParser) -> ProblemSpec:
 
 
 def _cmd_run(args, parser) -> int:
+    if args.dump_model and args.algo != "pipe":
+        parser.error("--dump-model: only a pipe run has a model; add --algo pipe")
     problem = _build_problem(args, parser)
     max_depth = args.max_depth
     if max_depth is None:
@@ -153,16 +155,15 @@ def _cmd_run(args, parser) -> int:
     except ValueError as err:  # --max-depth and --max-gens are checked on parsing
         parser.error(f"--pop: {err}")
     last_model: list = []
-    if args.algo == "pipe":
-        observer = None
-        if args.dump_model:
-            def observer(generation, model):
-                last_model[:] = [model]
-        result = run_pipe(problem, cfg, model_observer=observer)
-    else:
-        result = run_gp(problem, cfg)
+    engine_options = {}
+    if args.dump_model:
+        def keep_last(generation, model):
+            last_model[:] = [model]
+
+        engine_options["model_observer"] = keep_last
+    result = harness.run_algorithm(args.algo, problem, cfg, **engine_options)
     _print_kv(**dataclasses.asdict(result))
-    if args.dump_model and last_model:
+    if last_model:
         print(dump_model(last_model[0]))
     return 0 if result.success else 1
 
@@ -239,18 +240,19 @@ def _cmd_sweep(args, parser) -> int:
     except OSError as err:
         parser.error(f"--out: {err}")
     flagged = False
-    for plan in plans:
-        rows = harness.scalability_sweep(plan, workers=args.workers, log=print)
-        try:
-            csv_path, svg_path = harness.emit_report(
-                rows, args.out, basename=plan.name, x_field=plan.x_field
-            )
-        except OSError as err:
-            print(f"error: cannot write report: {err}", file=sys.stderr)
-            return 1
-        print(f"wrote {csv_path}")
-        print(f"wrote {svg_path}")
-        flagged = flagged or any(r.success_rate < 1.0 for r in rows)
+    with harness.worker_pool(args.workers):  # one pool serves every plan
+        for plan in plans:
+            rows = harness.scalability_sweep(plan, workers=args.workers, log=print)
+            try:
+                csv_path, svg_path = harness.emit_report(
+                    rows, args.out, basename=plan.name, x_field=plan.x_field
+                )
+            except OSError as err:
+                print(f"error: cannot write report: {err}", file=sys.stderr)
+                return 1
+            print(f"wrote {csv_path}")
+            print(f"wrote {svg_path}")
+            flagged = flagged or any(r.success_rate < 1.0 for r in rows)
     return 1 if flagged else 0
 
 

@@ -87,21 +87,29 @@ def run_algorithm(
     problem: ProblemSpec,
     cfg: GpConfig,
     observer: Callable[[int, list[Individual]], None] | None = None,
+    **engine_options,
 ) -> RunResult:
+    """One run of ``algo``; further keyword arguments go to the engine, such
+    as :func:`run_pipe`'s ``model_observer``."""
     if algo == "gp":
-        return run_gp(problem, cfg, observer)
+        return run_gp(problem, cfg, observer, **engine_options)
     if algo == "pipe":
-        return run_pipe(problem, cfg, observer)
+        return run_pipe(problem, cfg, observer, **engine_options)
     raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
 
 
-def _worker_pool(workers: int) -> AbstractContextManager[WorkerPool | None]:
-    """The process pool of the enclosing top-level call; None at one worker."""
+def worker_pool(workers: int) -> AbstractContextManager[WorkerPool | None]:
+    """The process pool of the enclosing top-level call; None at one worker.
+
+    ``batch_success``, ``bisect_population_size`` and ``scalability_sweep``
+    each open this scope, so a caller that wraps several calls in it runs them
+    all on one pool.
+    """
     if workers <= 1:
         return nullcontext()
-    from .pool import worker_pool  # one-worker runs never load the pool code
+    from . import pool  # one-worker runs never load the pool code
 
-    return worker_pool(workers)
+    return pool.worker_pool(workers)
 
 
 def collect_batch(runs: Sequence[Callable[[], RunResult]]) -> list[RunResult]:
@@ -153,7 +161,7 @@ def batch_success(
         )
         for i in range(n_runs)
     ]
-    with _worker_pool(workers) as pool:
+    with worker_pool(workers) as pool:
         if pool is not None:
             results = pool.run_batch(jobs)
         else:
@@ -233,7 +241,7 @@ def bisect_population_size(
             workers=workers,
         )
 
-    with _worker_pool(workers):
+    with worker_pool(workers):
         return bisect_min_size(batch, ceiling=ceiling)
 
 
@@ -379,7 +387,7 @@ def scalability_sweep(
     from a run, or a crashed worker (``BrokenProcessPool``), fails the sweep.
     """
     out: list[SweepRow] = []
-    with _worker_pool(workers):
+    with worker_pool(workers):
         for spec in plan.rows:
             problem = spec.problem_spec()
             max_depth = spec.resolved_max_depth()

@@ -1,7 +1,7 @@
 """Worker processes for probe batches.
 
-One pool serves a whole top-level harness call (a sweep, a sizing or a
-batch).  Each worker is a process that serves runs over its own duplex pipe.
+One pool serves a whole top-level call: every plan of a ``gpscale sweep``,
+or one sweep, sizing or batch.  Each worker is a process that serves runs over its own duplex pipe.
 The parent hands every idle worker the next run of the batch in seed order.
 Once the batch is decided it hands out no more, and runs still going stop at
 their next generation.  Workers call ``harness.run_algorithm`` through the

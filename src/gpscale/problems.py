@@ -3,7 +3,9 @@
 Expression walks the leaves left to right: junk leaves are dropped, a leaf
 under a NEG_JOIN ancestor flips polarity once, and the first surviving
 occurrence of either terminal of a pair decides that pair's bit.  Pairs that
-never occur express their negative terminal, i.e. bit False.
+never occur express their negative terminal, i.e. bit False.  Every node
+carries its subtree's expression from construction, as a
+:data:`gpscale.trees.Summary`, so expressing a tree reads its root.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .primitives import NEG_JOIN, PrimitiveSet
+from .primitives import PrimitiveSet
 from .trees import Node
 
 
@@ -88,59 +90,8 @@ def trap_problem(
 
 def express(tree: Node, ps: PrimitiveSet) -> list[bool]:
     """Expressed bit vector of a tree: bits[i] is True iff X_{i+1} wins pair i."""
-    eff = expression_summary(tree)[2]
+    eff = tree.summary[2]
     return [bool(eff >> i & 1) for i in range(ps.num_pairs)]
-
-
-# Expression composes bottom-up.  A subtree's summary is four pair-index
-# bitmasks and a flag: ``seen`` (pairs with a leaf in it), ``raw`` (pairs whose
-# first leaf is positive, ignoring NEG_JOIN), ``eff`` (pairs the subtree
-# expresses positively), ``pos`` (pairs with a positive leaf anywhere) and
-# whether a NEG_JOIN occurs in it.  Left leaves come first, so a JOIN takes the
-# right child's bits only for pairs its left child has not seen; a NEG_JOIN
-# flips every leaf below it once, so its ``eff`` is the complement of ``raw``
-# within ``seen``.  ``pos`` and the flag do not depend on where the subtree
-# sits, and they are what :func:`optimum_reachable` reads.
-Summary = tuple[int, int, int, int, bool]
-
-_LEAF_SUMMARIES: dict[str, Summary] = {}
-
-
-def _leaf_summary(symbol: str) -> Summary:
-    summary = _LEAF_SUMMARIES.get(symbol)
-    if summary is None:
-        if symbol.startswith("X"):
-            bit = 1 << (int(symbol[1:]) - 1)
-            summary = (bit, bit, bit, bit, False)
-        elif symbol.startswith("~X"):
-            summary = (1 << (int(symbol[2:]) - 1), 0, 0, 0, False)
-        else:  # junk
-            summary = (0, 0, 0, 0, False)
-        _LEAF_SUMMARIES[symbol] = summary
-    return summary
-
-
-def expression_summary(tree: Node) -> Summary:
-    """``(seen, raw, eff, pos, has_neg_join)`` of a tree, cached on every node
-    it visits."""
-    summary = tree.summary
-    if summary is None:
-        children = tree.children
-        if children:
-            left, right = children
-            seen_a, raw_a, eff_a, pos_a, neg_a = left.summary or expression_summary(left)
-            seen_b, raw_b, eff_b, pos_b, neg_b = right.summary or expression_summary(right)
-            fresh = seen_b & ~seen_a
-            seen = seen_a | seen_b
-            raw = raw_a | (raw_b & fresh)
-            if tree.symbol == NEG_JOIN:
-                summary = (seen, raw, seen & ~raw, pos_a | pos_b, True)
-            else:
-                summary = (seen, raw, eff_a | (eff_b & fresh), pos_a | pos_b, neg_a or neg_b)
-        else:
-            summary = _leaf_summary(tree.symbol)
-        tree.summary = summary
-    return summary
 
 
 def trap_subfunction(u: int, tp: TrapParams) -> float:
@@ -154,7 +105,7 @@ def trap_subfunction(u: int, tp: TrapParams) -> float:
 
 def evaluate(tree: Node, problem: ProblemSpec) -> float:
     """Fitness of one tree (pure; see :class:`Evaluator` for counted calls)."""
-    return problem.mask_fitness(expression_summary(tree)[2])
+    return problem.mask_fitness(tree.summary[2])
 
 
 class Evaluator:
@@ -178,13 +129,12 @@ def optimum_reachable(trees: list[Node], ps: PrimitiveSet) -> bool:
     Variation only rearranges existing symbols (subtree swaps and prototype
     sampling both draw from what the population contains), so once pair i has
     neither X_i nor, with a NEG_JOIN present, ~X_i anywhere, the optimum is
-    permanently out of reach.  Reads the root summaries only: an evaluated
-    tree already carries its own.
+    permanently out of reach.  Reads the root summaries only.
     """
     seen = pos = 0
     neg_join = False
     for tree in trees:
-        tree_seen, _, _, tree_pos, tree_neg_join = tree.summary or expression_summary(tree)
+        tree_seen, _, _, tree_pos, tree_neg_join = tree.summary
         seen |= tree_seen
         pos |= tree_pos
         neg_join = neg_join or tree_neg_join

@@ -1,8 +1,9 @@
 """Program trees: representation, measurement, text format, random generation.
 
 A tree is an immutable value; every variation operator builds new trees and
-shares untouched subtrees freely.  Each node carries its subtree size and
-depth so node picks and depth checks run in O(depth) instead of O(size).
+shares untouched subtrees freely.  Each node carries its subtree size, depth
+and expression summary, all derived from its children at construction, so
+node picks and depth checks run in O(depth) and expression in O(1).
 """
 
 from __future__ import annotations
@@ -14,16 +15,25 @@ from .primitives import NEG_JOIN, PrimitiveSet, arity, is_valid_symbol
 
 DEFAULT_RAMP_MIN_DEPTH = 2
 
+# Expression composes bottom-up.  A subtree's summary is four pair-index
+# bitmasks and a flag: ``seen`` (pairs with a leaf in it), ``raw`` (pairs whose
+# first leaf is positive, ignoring NEG_JOIN), ``eff`` (pairs the subtree
+# expresses positively), ``pos`` (pairs with a positive leaf anywhere) and
+# whether a NEG_JOIN occurs in it.  Left leaves come first, so a JOIN takes the
+# right child's bits only for pairs its left child has not seen; a NEG_JOIN
+# flips every leaf below it once, so its ``eff`` is the complement of ``raw``
+# within ``seen``.  ``pos`` and the flag do not depend on where the subtree
+# sits, and they are what :func:`gpscale.problems.optimum_reachable` reads.
+Summary = tuple[int, int, int, int, bool]
+
 
 class Node:
     """One tree node: a primitive symbol plus its ordered children.
 
     Terminals carry an empty children tuple; JOIN/NEG_JOIN carry exactly two.
-    ``size`` (node count) and ``depth`` (edge count to the deepest leaf) are
-    derived at construction and must not be mutated.  ``summary`` caches the
-    subtree's expression and reachability masks;
-    :func:`gpscale.problems.expression_summary` fills it on first use, so trees
-    that share a subtree share that work.
+    ``size`` (node count), ``depth`` (edge count to the deepest leaf) and
+    ``summary`` (the subtree's :data:`Summary`: ``(seen, raw, eff, pos,
+    has_neg_join)``) are derived at construction and must not be mutated.
     """
 
     __slots__ = ("symbol", "children", "size", "depth", "summary")
@@ -31,15 +41,31 @@ class Node:
     def __init__(self, symbol: str, children: tuple["Node", ...] = ()) -> None:
         self.symbol = symbol
         self.children = children
-        self.summary = None
         if children:
             left, right = children
             self.size = 1 + left.size + right.size
             ld, rd = left.depth, right.depth
             self.depth = 1 + (ld if ld >= rd else rd)
+            seen_a, raw_a, eff_a, pos_a, neg_a = left.summary
+            seen_b, raw_b, eff_b, pos_b, neg_b = right.summary
+            fresh = seen_b & ~seen_a
+            seen = seen_a | seen_b
+            raw = raw_a | (raw_b & fresh)
+            if symbol == NEG_JOIN:
+                self.summary = (seen, raw, seen & ~raw, pos_a | pos_b, True)
+            else:
+                eff = eff_a | (eff_b & fresh)
+                self.summary = (seen, raw, eff, pos_a | pos_b, neg_a or neg_b)
         else:
             self.size = 1
             self.depth = 0
+            if symbol.startswith("X"):
+                bit = 1 << (int(symbol[1:]) - 1)
+                self.summary = (bit, bit, bit, bit, False)
+            elif symbol.startswith("~X"):
+                self.summary = (1 << (int(symbol[2:]) - 1), 0, 0, 0, False)
+            else:  # junk
+                self.summary = (0, 0, 0, 0, False)
 
     def __eq__(self, other: object) -> bool:
         if self is other:

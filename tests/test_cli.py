@@ -2,7 +2,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from gpscale import cli, harness
+from gpscale import harness, pool
 from gpscale.cli import main
 
 
@@ -221,6 +221,42 @@ def test_sweep_plan_all_rejects_a_size_of_any_plan_before_running(
     assert not list(tmp_path.iterdir())
 
 
+def _stub_sizing(problem, algo, seed_base=0, **kwargs):
+    """Stand-in for ``harness.bisect_population_size``: a fixed sizing per cell."""
+    size = 16 * problem.primitives.num_pairs
+    return harness.SizingResult(size, size + seed_base % 97, (), ((size, True),))
+
+
+@pytest.mark.parametrize("workers, pools", [(1, 0), (2, 1)])
+def test_sweep_plan_all_runs_every_plan_on_one_pool(
+    workers, pools, tmp_path, capsys, monkeypatch
+):
+    opened = []
+
+    class CountingPool(pool.WorkerPool):
+        def __init__(self, workers):
+            opened.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(pool, "WorkerPool", CountingPool)
+    monkeypatch.setattr(harness, "bisect_population_size", _stub_sizing)
+    code, _, _ = run_cli(
+        capsys,
+        "sweep", "--plan", "all", "--sizes", "15", "--runs", "2",
+        "--workers", str(workers), "--out", str(tmp_path / "all"),
+    )
+    assert code == 0
+    assert opened == [workers] * pools
+    for name in harness.PLAN_NAMES:  # each plan swept on its own
+        plan = harness.build_plan(name, sizes=(15,), n_runs=2)
+        rows = harness.scalability_sweep(plan, workers=workers)
+        harness.emit_report(rows, tmp_path / "own", plan.name, plan.x_field)
+        csv_name = f"{name}.csv"
+        assert (tmp_path / "all" / csv_name).read_bytes() == (
+            tmp_path / "own" / csv_name
+        ).read_bytes()
+
+
 def test_cli_stdout_is_deterministic(tmp_path, capsys):
     argv = ["sweep", "--plan", "order", "--sizes", "2,3", "--algo", "gp",
             "--runs", "4", "--seed", "9", "--out", str(tmp_path / "a")]
@@ -244,11 +280,11 @@ def test_help_lists_subcommands(capsys):
 
 
 def _stub_runs(monkeypatch):
-    """Replace every run entry point with a stub; the list of runs it started."""
+    """Replace both engines behind ``harness.run_algorithm``, which every
+    command runs through, with a stub; the list of runs it started."""
     runs = []
-    for module in (harness, cli):
-        for name in ("run_gp", "run_pipe"):
-            monkeypatch.setattr(module, name, lambda *args, **kwargs: runs.append(args))
+    for name in ("run_gp", "run_pipe"):
+        monkeypatch.setattr(harness, name, lambda *args, **kwargs: runs.append(args))
     return runs
 
 
@@ -267,6 +303,7 @@ def _stub_runs(monkeypatch):
     ["sweep", "--plan", "trap", "--delta", "2"],
     ["sweep", "--plan", "order", "--sizes", "3,0"],
     ["run", "--pop", "3"],
+    ["run", "--pop", "8", "--dump-model"],
     ["bisect", "--problem", "trap", "--l", "7"],
     ["express", "--l", "2", "(JOIN X1 X9)"],
 ], ids=" ".join)

@@ -191,9 +191,9 @@ def test_adding_a_junk_leaf_never_changes_expression(seed, limit, junk):
     seed=st.integers(0, 2**32),
 )
 def test_cached_subtrees_express_correctly_in_any_context(num_pairs, num_junk, limit, seed):
-    # a subtree's summary is cached when it is first expressed; reusing it
-    # under JOIN and NEG_JOIN parents, on either side, must still match the
-    # oracle walk over the whole new tree
+    # a subtree's summary is built once, when the subtree is constructed;
+    # reusing it under JOIN and NEG_JOIN parents, on either side, must still
+    # match the oracle walk over the whole new tree
     ps = PrimitiveSet(num_pairs, num_junk, neg_join=True)
     rng = random.Random(seed)
     a = generate_random_tree(ps, limit, "grow", rng)

@@ -12,6 +12,7 @@ from gpscale.trees import (
     generate_random_tree,
     inorder_leaves,
     iter_nodes,
+    leaf,
     minimum_optimum_depth,
     parse_tree,
     ramp_schedule,
@@ -294,6 +295,14 @@ def test_validate_tree_rejects_foreign_symbols_and_bad_arity():
         validate_tree(parse_tree("(NEG_JOIN X1 X2)"), ps)
     with pytest.raises(ValueError):
         validate_tree(Node(JOIN, (Node("X1"),)), ps)
+
+
+def test_a_node_carries_its_summary_from_construction():
+    # built bottom-up like size and depth, before anything expresses the tree
+    pair = (leaf("X1"), leaf("~X2"))
+    assert Node(JOIN, pair).summary == (3, 1, 1, 1, False)
+    assert Node(NEG_JOIN, pair).summary == (3, 1, 2, 1, True)
+    assert parse_tree("J1").summary == (0, 0, 0, 0, False)
 
 
 def test_node_equality_is_structural():
