@@ -71,13 +71,13 @@ def binary_tournament(pop: list[Individual], rng: random.Random) -> Individual:
 # (s-1)/2 internal nodes and (s+1)/2 leaves; picks descend on those counts.
 
 
-def _pick_internal(tree: Node, k: int) -> tuple[Node, int, list[int]]:
-    """k-th internal node in preorder: (node, root distance, child-index path)."""
+def _pick_internal(tree: Node, k: int) -> tuple[Node, list[int]]:
+    """k-th internal node in preorder: (node, child-index path)."""
     path: list[int] = []
     node = tree
     while True:
         if k == 0:
-            return node, len(path), path
+            return node, path
         k -= 1
         left, right = node.children
         left_internal = (left.size - 1) // 2
@@ -90,8 +90,8 @@ def _pick_internal(tree: Node, k: int) -> tuple[Node, int, list[int]]:
             node = right
 
 
-def _pick_leaf(tree: Node, k: int) -> tuple[Node, int, list[int]]:
-    """k-th leaf in preorder: (node, root distance, child-index path)."""
+def _pick_leaf(tree: Node, k: int) -> tuple[Node, list[int]]:
+    """k-th leaf in preorder: (node, child-index path)."""
     path: list[int] = []
     node = tree
     while node.children:
@@ -104,10 +104,10 @@ def _pick_leaf(tree: Node, k: int) -> tuple[Node, int, list[int]]:
             k -= left_leaves
             path.append(1)
             node = right
-    return node, len(path), path
+    return node, path
 
 
-def _pick_point(tree: Node, bias: float, rng: random.Random) -> tuple[Node, int, list[int]]:
+def _pick_point(tree: Node, bias: float, rng: random.Random) -> tuple[Node, list[int]]:
     internal_count = (tree.size - 1) // 2
     if internal_count and rng.random() < bias:
         return _pick_internal(tree, rng.randrange(internal_count))
@@ -146,9 +146,9 @@ def subtree_crossover(
     bias = INTERNAL_NODE_BIAS
     max_depth = cfg.max_depth
     for _ in range(CROSSOVER_RETRIES + 1):
-        sub1, dist1, path1 = _pick_point(p1, bias, rng)
-        sub2, dist2, path2 = _pick_point(p2, bias, rng)
-        if dist1 + sub2.depth <= max_depth and dist2 + sub1.depth <= max_depth:
+        sub1, path1 = _pick_point(p1, bias, rng)
+        sub2, path2 = _pick_point(p2, bias, rng)
+        if len(path1) + sub2.depth <= max_depth and len(path2) + sub1.depth <= max_depth:
             return _graft(p1, path1, sub2), _graft(p2, path2, sub1)
     return p1, p2
 

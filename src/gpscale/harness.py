@@ -6,8 +6,9 @@ within 10% of its succeeding bound.  Sweeps size every (algorithm, instance)
 cell of a plan and emit a CSV plus a log-log SVG plot.
 
 With ``workers > 1`` runs execute in worker processes that live for one
-top-level call (a sweep, a sizing or a batch), each fed runs over its own
-pipe in seed order; see :mod:`gpscale.pool`.
+top-level call (every plan of a ``gpscale sweep``, or one sweep, sizing or
+batch), each fed runs over its own pipe in seed order.  :func:`worker_pool`
+decides which pool a call runs on; :mod:`gpscale.pool` holds the workers.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ from __future__ import annotations
 import csv
 import dataclasses
 import statistics
-from contextlib import AbstractContextManager, nullcontext
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence, get_type_hints
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence, get_type_hints
 
 from .gp import DEFAULT_MAX_GENERATIONS, GpConfig, Individual, RunResult, run_gp
 from .pipe import run_pipe
@@ -56,15 +58,11 @@ class SizingFailure(Exception):
         self.last_results = last_results
         self.history = history
         runs = len(last_results)
-        succeeded = sum(r.success for r in last_results)
-        if runs and succeeded == runs - 1 and not last_results[-1].success:
-            outcome = (f"stopped at its first failure after {runs} "
-                       f"run{'s' * (runs != 1)}, {succeeded} of them solved")
-        else:
-            outcome = f"solved {succeeded}/{runs} runs"
+        solved = sum(r.success for r in last_results)
         super().__init__(
             f"no fully successful batch at any population size up to {last_pop_size} "
-            f"(ceiling {ceiling}); last batch {outcome}"
+            f"(ceiling {ceiling}); last batch stopped at its first failure after "
+            f"{runs} run{'s' * (runs != 1)}, {solved} of them solved"
         )
 
     @property
@@ -98,18 +96,35 @@ def run_algorithm(
     raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
 
 
-def worker_pool(workers: int) -> AbstractContextManager[WorkerPool | None]:
+_open_pool: ContextVar[WorkerPool | None] = ContextVar("_open_pool", default=None)
+
+
+@contextmanager
+def worker_pool(workers: int) -> Iterator[WorkerPool | None]:
     """The process pool of the enclosing top-level call; None at one worker.
 
     ``batch_success``, ``bisect_population_size`` and ``scalability_sweep``
     each open this scope, so a caller that wraps several calls in it runs them
-    all on one pool.
+    all on one pool.  A call inside an open scope reuses its pool; the call
+    that opened the pool closes it on every exit, which stops and joins the
+    workers.
     """
     if workers <= 1:
-        return nullcontext()
-    from . import pool  # one-worker runs never load the pool code
+        yield None
+        return
+    pool = _open_pool.get()
+    if pool is not None:
+        yield pool
+        return
+    from .pool import WorkerPool  # one-worker runs never load the pool code
 
-    return pool.worker_pool(workers)
+    pool = WorkerPool(workers)
+    token = _open_pool.set(pool)
+    try:
+        yield pool
+    finally:
+        _open_pool.reset(token)
+        pool.close()
 
 
 def collect_batch(runs: Sequence[Callable[[], RunResult]]) -> list[RunResult]:
@@ -174,42 +189,48 @@ def _nearest_even(x: float) -> int:
     return 2 * round(x / 2)
 
 
+def _mean_evaluations(results: Sequence[RunResult]) -> float:
+    """Mean evaluations of the solved runs; 0.0 if none solved."""
+    solved = [r.evaluations for r in results if r.success]
+    return statistics.fmean(solved) if solved else 0.0
+
+
 def bisect_min_size(batch: BatchFn, *, ceiling: int = DEFAULT_POP_CEILING) -> SizingResult:
     """Smallest population size (to a 10% bracket) at which ``batch`` fully
     succeeds; ``batch`` must be statistically monotone in population size.
 
-    Doubles from ``START_POP`` until success (raising :class:`SizingFailure`
-    past ``ceiling``), then bisects on even midpoints while the
-    failing/succeeding bracket is wider than 10% of its succeeding bound.
+    One loop probes sizes between ``lo``, the largest failing size (2 until a
+    probe fails), and ``hi``, the smallest succeeding one (0 until a probe
+    succeeds).  It doubles from ``START_POP`` while ``hi`` is 0, raising
+    :class:`SizingFailure` past ``ceiling``, then bisects on even midpoints
+    until the bracket is within 10% of ``hi`` or holds no even size.
     """
     if ceiling < START_POP:
         raise ValueError(f"ceiling {ceiling} is below the starting size {START_POP}")
     history: list[tuple[int, bool]] = []
+    lo = 2
+    hi = 0
+    best_results: list[RunResult] = []
     n = START_POP
-    ok, results = batch(n)
-    history.append((n, ok))
-    while not ok:
-        if n * 2 > ceiling:
-            raise SizingFailure(ceiling, n, results, history)
-        n *= 2
+    while True:
         ok, results = batch(n)
         history.append((n, ok))
-    hi = n
-    lo = n // 2 if n > START_POP else 2
-    best_results = results
-    while (hi - lo) > BRACKET_FRACTION * hi:
-        mid = _nearest_even((lo + hi) / 2)
-        if mid <= lo or mid >= hi:
-            break  # no even size strictly inside the bracket
-        ok, results = batch(mid)
-        history.append((mid, ok))
         if ok:
-            hi = mid
+            hi = n
             best_results = results
+        elif not hi and n * 2 > ceiling:
+            raise SizingFailure(ceiling, n, results, history)
         else:
-            lo = mid
-    avg = statistics.fmean(r.evaluations for r in best_results) if best_results else 0.0
-    return SizingResult(hi, avg, tuple(best_results), tuple(history))
+            lo = n
+        if not hi:
+            n *= 2
+            continue
+        if hi - lo <= BRACKET_FRACTION * hi:
+            break
+        n = _nearest_even((lo + hi) / 2)
+        if n <= lo or n >= hi:
+            break  # no even size strictly inside the bracket
+    return SizingResult(hi, _mean_evaluations(best_results), tuple(best_results), tuple(history))
 
 
 def bisect_population_size(
@@ -407,8 +428,7 @@ def scalability_sweep(
                 rate = 1.0
             except SizingFailure as failure:
                 pop_size = failure.last_pop_size
-                succeeded = [r for r in failure.last_results if r.success]
-                avg = statistics.fmean(r.evaluations for r in succeeded) if succeeded else 0.0
+                avg = _mean_evaluations(failure.last_results)
                 rate = failure.success_rate
             row = SweepRow(
                 **dataclasses.asdict(spec)

@@ -1,12 +1,12 @@
 """Worker processes for probe batches.
 
-One pool serves a whole top-level call: every plan of a ``gpscale sweep``,
-or one sweep, sizing or batch.  Each worker is a process that serves runs over its own duplex pipe.
-The parent hands every idle worker the next run of the batch in seed order.
+Each worker is a process that serves runs over its own duplex pipe.  The
+parent hands every idle worker the next run of the batch in seed order.
 Once the batch is decided it hands out no more, and runs still going stop at
 their next generation.  Workers call ``harness.run_algorithm`` through the
 module attribute, so a forked worker runs what the parent had bound there
-when the pool started.
+when the pool started.  Which pool a call runs on, and when it closes, is
+decided by the pool scope in :mod:`gpscale.harness`.
 """
 
 from __future__ import annotations
@@ -15,11 +15,9 @@ import multiprocessing
 import traceback
 from collections import deque
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
-from contextvars import ContextVar
 from functools import partial
 from multiprocessing.connection import Connection, wait
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import harness
 from .gp import GpConfig, Individual, RunResult
@@ -142,25 +140,3 @@ class WorkerPool:
         for conn in conns:
             conn.close()
 
-
-_open_pool: ContextVar[WorkerPool | None] = ContextVar("_open_pool", default=None)
-
-
-@contextmanager
-def worker_pool(workers: int) -> Iterator[WorkerPool]:
-    """The pool of the enclosing top-level call, opening one if there is none.
-
-    The call that opens the pool closes it on every exit, which stops and
-    joins the workers.
-    """
-    pool = _open_pool.get()
-    if pool is not None:
-        yield pool
-        return
-    pool = WorkerPool(workers)
-    token = _open_pool.set(pool)
-    try:
-        yield pool
-    finally:
-        _open_pool.reset(token)
-        pool.close()
