@@ -164,7 +164,7 @@ def _cmd_run(args, parser) -> int:
     result = harness.run_algorithm(args.algo, problem, cfg, **engine_options)
     _print_kv(**dataclasses.asdict(result))
     if last_model:
-        print(dump_model(last_model[0]))
+        print(dump_model(last_model[0], problem.primitives))
     return 0 if result.success else 1
 
 
@@ -265,9 +265,8 @@ def _cmd_express(args, parser) -> int:
         parser.error(f"tree: {err}")
     leaves = inorder_leaves(tree)
     bits = express(tree, problem.primitives)
-    expressed = " ".join(
-        (f"X{i + 1}" if bit else f"~X{i + 1}") for i, bit in enumerate(bits)
-    )
+    terminals = problem.primitives.terminals  # X1..Xl, then ~X1..~Xl
+    expressed = " ".join(terminals[i if bit else len(bits) + i] for i, bit in enumerate(bits))
     print("leaves=" + " ".join(sym for sym, _ in leaves))
     print("negated_flags=" + "".join("1" if neg else "0" for _, neg in leaves))
     print(f"expressed={expressed}")

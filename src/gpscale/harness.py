@@ -524,24 +524,24 @@ def render_log_log_svg(
 
     width, height = 640, 480
     ml, mr, mt, mb = 70, 160, 20, 50
-    pts = [p for data in series.values() for p in data if p[0] > 0 and p[1] > 0]
-    if pts:
-        lx = [math.log10(x) for x, _ in pts]
-        ly = [math.log10(y) for _, y in pts]
-        x0, x1 = min(lx), max(lx)
-        y0, y1 = min(ly), max(ly)
-    else:  # every cell flagged: emit bare axes rather than failing the report
-        x0, x1, y0, y1 = 0.0, 2.0, 0.0, 2.0
-    if x1 - x0 < 1e-9:
-        x0, x1 = x0 - 0.5, x1 + 0.5
-    if y1 - y0 < 1e-9:
-        y0, y1 = y0 - 0.5, y1 + 0.5
+    logged = {
+        label: [(math.log10(x), math.log10(y)) for x, y in sorted(data) if x > 0 and y > 0]
+        for label, data in series.items()
+    }
 
-    def px(v: float) -> float:
-        return ml + (math.log10(v) - x0) / (x1 - x0) * (width - ml - mr)
+    def span(values: list[float]) -> tuple[float, float]:
+        # no positive point at all (every cell flagged): bare axes, not a failure
+        lo, hi = (min(values), max(values)) if values else (0.0, 2.0)
+        return (lo - 0.5, hi + 0.5) if hi - lo < 1e-9 else (lo, hi)
 
-    def py(v: float) -> float:
-        return height - mb - (math.log10(v) - y0) / (y1 - y0) * (height - mt - mb)
+    x0, x1 = span([x for pts in logged.values() for x, _ in pts])
+    y0, y1 = span([y for pts in logged.values() for _, y in pts])
+
+    def px(lx: float) -> float:
+        return ml + (lx - x0) / (x1 - x0) * (width - ml - mr)
+
+    def py(ly: float) -> float:
+        return height - mb - (ly - y0) / (y1 - y0) * (height - mt - mb)
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -554,7 +554,7 @@ def render_log_log_svg(
     ]
     for d in range(math.floor(x0), math.ceil(x1) + 1):
         if x0 <= d <= x1:
-            x = ml + (d - x0) / (x1 - x0) * (width - ml - mr)
+            x = px(d)
             parts.append(
                 f'<line x1="{x:.1f}" y1="{height - mb}" x2="{x:.1f}" '
                 f'y2="{height - mb + 5}" stroke="black"/>'
@@ -565,7 +565,7 @@ def render_log_log_svg(
             )
     for d in range(math.floor(y0), math.ceil(y1) + 1):
         if y0 <= d <= y1:
-            y = height - mb - (d - y0) / (y1 - y0) * (height - mt - mb)
+            y = py(d)
             parts.append(
                 f'<line x1="{ml - 5}" y1="{y:.1f}" x2="{ml}" y2="{y:.1f}" stroke="black"/>'
             )
@@ -582,9 +582,8 @@ def render_log_log_svg(
         f'text-anchor="middle" transform="rotate(-90 16 {(mt + height - mb) / 2:.1f})">'
         "fitness evaluations</text>"
     )
-    for i, (label, data) in enumerate(sorted(series.items())):
+    for i, (label, plottable) in enumerate(sorted(logged.items())):
         color = _SERIES_COLORS[i % len(_SERIES_COLORS)]
-        plottable = sorted(p for p in data if p[0] > 0 and p[1] > 0)
         if not plottable:
             continue
         points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in plottable)

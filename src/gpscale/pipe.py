@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from itertools import accumulate
 from typing import Callable
 
-from .primitives import arity, symbol_sort_key
+from .primitives import PrimitiveSet, arity
 from .problems import ProblemSpec
 from .trees import Node, leaf
 from .gp import GpConfig, Individual, RunResult, _evolve, binary_tournament
@@ -33,12 +34,7 @@ class ModelNode:
         # terminal's entry in ``leaves`` is its shared leaf node, a function's None
         self.symbols = tuple(counts)
         self.leaves = tuple(None if arity(s) else leaf(s) for s in self.symbols)
-        cum = []
-        acc = 0
-        for c in counts.values():
-            acc += c
-            cum.append(acc)
-        self.cum_counts = cum
+        self.cum_counts = list(accumulate(counts.values()))
         self.total = total
 
     @property
@@ -90,15 +86,18 @@ def sample_model(model: ModelNode, rng: random.Random) -> Node:
     return node
 
 
-def dump_model(model: ModelNode) -> str:
+def dump_model(model: ModelNode, ps: PrimitiveSet) -> str:
     """One line per node: ``path: {SYMBOL=prob,...}``, probabilities to six
-    decimals, symbols in canonical order, root path ``/``."""
+    decimals, symbols in the order of ``ps.alphabet``, root path ``/``.
+
+    A model symbol outside ``ps`` raises KeyError rather than being dropped.
+    """
+    rank = {s: i for i, s in enumerate(ps.alphabet)}
     lines: list[str] = []
 
     def walk(node: ModelNode, path: str) -> None:
-        table = ",".join(
-            f"{s}={node.probs[s]:.6f}" for s in sorted(node.probs, key=symbol_sort_key)
-        )
+        probs = node.probs
+        table = ",".join(f"{s}={probs[s]:.6f}" for s in sorted(probs, key=rank.__getitem__))
         lines.append(f"{path}: {{{table}}}")
         prefix = "" if path == "/" else path
         for i, child in enumerate(node.children):

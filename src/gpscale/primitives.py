@@ -2,7 +2,8 @@
 
 Symbols are plain interned strings so they double as the canonical text
 format: ``JOIN``, ``NEG_JOIN``, ``X3`` (positive terminal of pair 3),
-``~X3`` (its complement), ``J2`` (junk terminal 2).
+``~X3`` (its complement), ``J2`` (junk terminal 2).  :class:`PrimitiveSet`
+spells an instance's symbols, and its ``alphabet`` is their canonical order.
 """
 
 from __future__ import annotations
@@ -17,18 +18,6 @@ NEG_JOIN = "NEG_JOIN"
 _SYMBOL_RE = re.compile(r"JOIN|NEG_JOIN|~?X[1-9][0-9]*|J[1-9][0-9]*")
 
 
-def positive_terminal(i: int) -> str:
-    return f"X{i}"
-
-
-def negative_terminal(i: int) -> str:
-    return f"~X{i}"
-
-
-def junk_terminal(j: int) -> str:
-    return f"J{j}"
-
-
 def arity(symbol: str) -> int:
     """2 for the join functions, 0 for every terminal."""
     return 2 if symbol == JOIN or symbol == NEG_JOIN else 0
@@ -36,19 +25,6 @@ def arity(symbol: str) -> int:
 
 def is_valid_symbol(token: str) -> bool:
     return _SYMBOL_RE.fullmatch(token) is not None
-
-
-def symbol_sort_key(symbol: str) -> tuple[int, int]:
-    """Canonical ordering: JOIN, NEG_JOIN, X1..Xl, ~X1..~Xl, J1..Jn."""
-    if symbol == JOIN:
-        return (0, 0)
-    if symbol == NEG_JOIN:
-        return (1, 0)
-    if symbol.startswith("~"):
-        return (3, int(symbol[2:]))
-    if symbol.startswith("X"):
-        return (2, int(symbol[1:]))
-    return (4, int(symbol[1:]))
 
 
 @dataclass(frozen=True)
@@ -78,13 +54,15 @@ class PrimitiveSet:
     def terminals(self) -> tuple[str, ...]:
         pairs = range(1, self.num_pairs + 1)
         return (
-            tuple(positive_terminal(i) for i in pairs)
-            + tuple(negative_terminal(i) for i in pairs)
-            + tuple(junk_terminal(j) for j in range(1, self.num_junk + 1))
+            tuple(f"X{i}" for i in pairs)
+            + tuple(f"~X{i}" for i in pairs)
+            + tuple(f"J{j}" for j in range(1, self.num_junk + 1))
         )
 
     @cached_property
     def alphabet(self) -> tuple[str, ...]:
+        """Every symbol in canonical order: JOIN, NEG_JOIN, X1..Xl, ~X1..~Xl,
+        J1..Jn."""
         return self.functions + self.terminals
 
     def __contains__(self, symbol: str) -> bool:

@@ -222,39 +222,49 @@ def format_tree(tree: Node) -> str:
 
 
 def parse_tree(text: str) -> Node:
-    """Inverse of :func:`format_tree`; raises ValueError on malformed input."""
+    """Inverse of :func:`format_tree`; raises ValueError on malformed input.
+
+    One pass over the tokens with a stack of open functions, so nesting depth
+    is bounded by memory, not by the recursion limit.
+    """
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
         raise ValueError("empty tree text")
+    n = len(tokens)
     pos = 0
-
-    def parse() -> Node:
-        nonlocal pos
-        if pos >= len(tokens):
+    open_functions: list[tuple[str, list[Node]]] = []
+    while True:
+        if pos >= n:
             raise ValueError("unexpected end of tree text")
         token = tokens[pos]
         pos += 1
         if token == "(":
-            if pos >= len(tokens):
+            if pos >= n:
                 raise ValueError("unexpected end of tree text after '('")
             symbol = tokens[pos]
             pos += 1
             if not is_valid_symbol(symbol) or not arity(symbol):
                 raise ValueError(f"expected a function symbol after '(', got {symbol!r}")
-            children = tuple(parse() for _ in range(arity(symbol)))
-            if pos >= len(tokens) or tokens[pos] != ")":
-                raise ValueError(f"missing ')' after {symbol} arguments")
-            pos += 1
-            return Node(symbol, children)
+            open_functions.append((symbol, []))
+            continue
         if token == ")":
             raise ValueError("unexpected ')'")
         if not is_valid_symbol(token):
             raise ValueError(f"invalid symbol {token!r}")
         if arity(token):
             raise ValueError(f"function symbol {token!r} needs '(...)' form")
-        return Node(token)
-
-    tree = parse()
-    if pos != len(tokens):
-        raise ValueError(f"trailing tokens after tree: {' '.join(tokens[pos:])!r}")
-    return tree
+        node = leaf(token)
+        while open_functions:  # close every function this subtree completes
+            symbol, children = open_functions[-1]
+            children.append(node)
+            if len(children) < arity(symbol):
+                break
+            if pos >= n or tokens[pos] != ")":
+                raise ValueError(f"missing ')' after {symbol} arguments")
+            pos += 1
+            open_functions.pop()
+            node = Node(symbol, tuple(children))
+        else:
+            if pos != n:
+                raise ValueError(f"trailing tokens after tree: {' '.join(tokens[pos:])!r}")
+            return node

@@ -47,6 +47,14 @@ def test_express_trap_fitness(capsys):
     assert "fitness=1.0" in out.splitlines()
 
 
+def test_express_parses_a_tree_nested_past_the_recursion_limit(capsys):
+    depth = 5_000
+    text = "(JOIN " * depth + "X1" + " X1)" * depth
+    code, out, _ = run_cli(capsys, "express", "--l", "1", text)
+    assert code == 0
+    assert "bits=1" in out.splitlines()
+
+
 def test_express_rejects_symbols_outside_the_instance(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(capsys, "express", "--problem", "order", "--l", "2", "(JOIN X1 X9)")

@@ -166,13 +166,29 @@ def test_joint_probability_is_the_product_of_node_tables():
 
 def test_dump_model_format():
     model = build_model([parse_tree("(JOIN X1 X2)"), Node("X1")])
-    text = dump_model(model)
+    text = dump_model(model, PrimitiveSet(2))
     lines = text.splitlines()
     assert lines[0] == "/: {JOIN=0.500000,X1=0.500000}"
     assert lines[1] == "/0: {X1=1.000000}"
     assert lines[2] == "/1: {X2=1.000000}"
     line_re = re.compile(r"^[/0-9]+: \{[^{}]+\}$")
     assert all(line_re.match(line) for line in lines)
+    # each table follows the instance's alphabet: functions, then X_i, ~X_i
+    # and junk, pair numbers compared as numbers (X2 before X10)
+    trees = ["(JOIN X10 J1)", "(NEG_JOIN X2 ~X10)", "(JOIN ~X2 X1)"]
+    model = build_model([parse_tree(t) for t in trees])
+    lines = dump_model(model, PrimitiveSet(10, 1, True)).splitlines()
+    assert lines == [
+        "/: {JOIN=0.666667,NEG_JOIN=0.333333}",
+        "/0: {X2=0.333333,X10=0.333333,~X2=0.333333}",
+        "/1: {X1=0.333333,~X10=0.333333,J1=0.333333}",
+    ]
+
+
+def test_dump_model_rejects_a_symbol_outside_the_instance():
+    model = build_model([parse_tree("(JOIN X1 X3)")])
+    with pytest.raises(KeyError):
+        dump_model(model, PrimitiveSet(2))
 
 
 def test_run_pipe_trivial_instance():

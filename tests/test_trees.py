@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from gpscale.primitives import JOIN, NEG_JOIN, PrimitiveSet, arity, symbol_sort_key
+from gpscale.primitives import JOIN, NEG_JOIN, PrimitiveSet, arity
 from gpscale.trees import (
     Node,
     default_max_depth,
@@ -74,11 +74,12 @@ def test_primitive_set_membership(symbol, neg_join, member):
     assert (symbol in PrimitiveSet(3, num_junk=2, neg_join=neg_join)) is member
 
 
-def test_symbol_sort_key_orders_canonically():
-    symbols = ["J1", "~X2", "X10", "X2", "JOIN", "NEG_JOIN", "~X10"]
-    assert sorted(symbols, key=symbol_sort_key) == [
-        "JOIN", "NEG_JOIN", "X2", "X10", "~X2", "~X10", "J1",
-    ]
+def test_alphabet_is_in_canonical_order():
+    # numeric, not lexicographic: X2 comes before X10
+    pairs = range(1, 11)
+    assert PrimitiveSet(10, num_junk=1, neg_join=True).alphabet == (
+        "JOIN", "NEG_JOIN", *(f"X{i}" for i in pairs), *(f"~X{i}" for i in pairs), "J1",
+    )
 
 
 def test_depth_and_size_basics():
@@ -293,8 +294,11 @@ def test_validate_tree_rejects_foreign_symbols_and_bad_arity():
         validate_tree(parse_tree("X3"), ps)
     with pytest.raises(ValueError):
         validate_tree(parse_tree("(NEG_JOIN X1 X2)"), ps)
-    with pytest.raises(ValueError):
-        validate_tree(Node(JOIN, (Node("X1"),)), ps)
+    # both construct, so the arity check itself must reject them
+    with pytest.raises(ValueError, match="children, expected"):
+        validate_tree(Node("X1", (leaf("X1"), leaf("X2"))), ps)
+    with pytest.raises(ValueError, match="children, expected"):
+        validate_tree(Node(JOIN), ps)
 
 
 def test_a_node_carries_its_summary_from_construction():
