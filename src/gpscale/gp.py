@@ -67,51 +67,35 @@ def binary_tournament(pop: list[Individual], rng: random.Random) -> Individual:
     return a if rng.random() < 0.5 else b
 
 
-# In a tree whose functions all have arity 2, a subtree of size s holds
-# (s-1)/2 internal nodes and (s+1)/2 leaves; picks descend on those counts.
+def _pick_point(tree: Node, bias: float, rng: random.Random) -> tuple[Node, list[int]]:
+    """Crossover point: with probability ``bias``, if the tree has an internal
+    node, the k-th internal node in preorder, else the k-th leaf, k uniform
+    within the class; returns (node, child-index path).
 
-
-def _pick_internal(tree: Node, k: int) -> tuple[Node, list[int]]:
-    """k-th internal node in preorder: (node, child-index path)."""
-    path: list[int] = []
-    node = tree
-    while True:
-        if k == 0:
-            return node, path
-        k -= 1
-        left, right = node.children
-        left_internal = (left.size - 1) // 2
-        if k < left_internal:
-            path.append(0)
-            node = left
-        else:
-            k -= left_internal
-            path.append(1)
-            node = right
-
-
-def _pick_leaf(tree: Node, k: int) -> tuple[Node, list[int]]:
-    """k-th leaf in preorder: (node, child-index path)."""
+    With arity-2 functions a subtree of size s holds (s - 1) // 2 internal
+    nodes and (s + 1) // 2 leaves, so ``(s - shift) // 2`` counts the chosen
+    class and the pick descends on those counts.
+    """
+    internal = tree.size > 1 and rng.random() < bias
+    shift = 1 if internal else -1
+    k = rng.randrange((tree.size - shift) // 2)
     path: list[int] = []
     node = tree
     while node.children:
+        if internal:  # in preorder a node precedes its subtrees
+            if k == 0:
+                break
+            k -= 1
         left, right = node.children
-        left_leaves = (left.size + 1) // 2
-        if k < left_leaves:
+        left_count = (left.size - shift) // 2
+        if k < left_count:
             path.append(0)
             node = left
         else:
-            k -= left_leaves
+            k -= left_count
             path.append(1)
             node = right
     return node, path
-
-
-def _pick_point(tree: Node, bias: float, rng: random.Random) -> tuple[Node, list[int]]:
-    internal_count = (tree.size - 1) // 2
-    if internal_count and rng.random() < bias:
-        return _pick_internal(tree, rng.randrange(internal_count))
-    return _pick_leaf(tree, rng.randrange((tree.size + 1) // 2))
 
 
 def _graft(tree: Node, path: list[int], replacement: Node) -> Node:

@@ -22,9 +22,15 @@ from .gp import GpConfig, Individual, RunResult, _evolve, binary_tournament
 
 class ModelNode:
     """One model position: probability table plus child models when any
-    function has nonzero probability here."""
+    function has nonzero probability here.
 
-    __slots__ = ("children", "symbols", "leaves", "cum_counts", "total")
+    ``degenerate`` is True when this position and every one below it hold a
+    single symbol.  One symbol gives every occupant the same arity, so by
+    induction the model is degenerate exactly when all the programs it was
+    built from are identical.
+    """
+
+    __slots__ = ("children", "symbols", "leaves", "cum_counts", "total", "degenerate")
 
     def __init__(
         self, counts: dict[str, int], total: int, children: tuple["ModelNode", ...]
@@ -36,6 +42,7 @@ class ModelNode:
         self.leaves = tuple(None if arity(s) else leaf(s) for s in self.symbols)
         self.cum_counts = list(accumulate(counts.values()))
         self.total = total
+        self.degenerate = len(counts) == 1 and all(c.degenerate for c in children)
 
     @property
     def probs(self) -> dict[str, float]:
@@ -116,22 +123,19 @@ def run_pipe(
     """One seeded run with prototype-tree recombination instead of crossover.
 
     The loop, selection, and termination contract match :func:`run_gp`; a
-    generation whose selected programs are all identical is an absorbing
-    state (the model is degenerate and there is no mutation), so the run
+    generation whose model is degenerate (its selected programs are all
+    identical) is an absorbing state, since there is no mutation, so the run
     fails immediately instead of replaying it to the generation cap.
+    ``model_observer`` sees every model but that last degenerate one.
     """
 
     def make_offspring(
         generation: int, pop: list[Individual], rng: random.Random
     ) -> list[Node] | None:
         selected = [binary_tournament(pop, rng) for _ in range(cfg.pop_size)]
-        lo = min(ind.fitness for ind in selected)
-        hi = max(ind.fitness for ind in selected)
-        if lo == hi:
-            first = selected[0].tree
-            if all(ind.tree == first for ind in selected):
-                return None
         model = build_model([ind.tree for ind in selected])
+        if model.degenerate:
+            return None
         if model_observer is not None:
             model_observer(generation, model)
         return [sample_model(model, rng) for _ in range(cfg.pop_size)]

@@ -3,7 +3,9 @@
 A tree is an immutable value; every variation operator builds new trees and
 shares untouched subtrees freely.  Each node carries its subtree size, depth
 and expression summary, all derived from its children at construction, so
-node picks and depth checks run in O(depth) and expression in O(1).
+node picks and depth checks run in O(depth) and expression in O(1).  Nodes
+compare by identity; two trees are the same program when their canonical
+text (:func:`format_tree`) is equal.
 """
 
 from __future__ import annotations
@@ -66,18 +68,6 @@ class Node:
                 self.summary = (1 << (int(symbol[2:]) - 1), 0, 0, 0, False)
             else:  # junk
                 self.summary = (0, 0, 0, 0, False)
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Node):
-            return NotImplemented
-        if self.symbol != other.symbol or self.size != other.size:
-            return False
-        return self.children == other.children
-
-    def __hash__(self) -> int:
-        return hash((self.symbol, self.children))
 
     def __repr__(self) -> str:  # the canonical text format
         return format_tree(self)
@@ -214,11 +204,29 @@ def ramped_half_and_half(
 
 
 def format_tree(tree: Node) -> str:
-    """Canonical prefix text, e.g. ``(JOIN (NEG_JOIN X1 ~X2) J3)``."""
-    children = tree.children
-    if not children:
-        return tree.symbol
-    return f"({tree.symbol} {format_tree(children[0])} {format_tree(children[1])})"
+    """Canonical prefix text, e.g. ``(JOIN (NEG_JOIN X1 ~X2) J3)``.
+
+    A preorder walk over a stack, where ``None`` closes a function, so
+    nesting depth is bounded by memory, not by the recursion limit.
+    """
+    parts: list[str] = []
+    stack: list[Node | None] = [tree]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            parts.append(")")
+            continue
+        if parts:  # every node but the root follows a space
+            parts.append(" ")
+        children = node.children
+        if children:
+            parts.append("(" + node.symbol)
+            stack.append(None)
+            stack.append(children[1])
+            stack.append(children[0])
+        else:
+            parts.append(node.symbol)
+    return "".join(parts)
 
 
 def parse_tree(text: str) -> Node:

@@ -4,9 +4,9 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from gpscale.gp import GpConfig
+from gpscale.gp import GpConfig, RunResult
 from gpscale.pipe import (
     build_model,
     dump_model,
@@ -14,9 +14,10 @@ from gpscale.pipe import (
     sample_model,
 )
 from gpscale.primitives import PrimitiveSet, arity
-from gpscale.problems import order_problem
+from gpscale.problems import optimum_reachable, order_problem
 from gpscale.trees import (
     Node,
+    format_tree,
     generate_random_tree,
     iter_nodes,
     parse_tree,
@@ -44,6 +45,28 @@ def test_build_model_degenerate_population():
     for node in _model_nodes(model):
         assert len(node.probs) == 1
         assert next(iter(node.probs.values())) == 1.0
+
+
+# programs that agree at the root, or along a whole shape, and differ below
+_DEGENERACY_POOL = [
+    "X1",
+    "~X1",
+    "(JOIN X1 X2)",
+    "(JOIN X2 X1)",
+    "(NEG_JOIN X1 X2)",
+    "(JOIN X1 (JOIN X1 X2))",
+    "(JOIN X1 (JOIN X2 X1))",
+    "(JOIN (JOIN X1 X2) X1)",
+]
+
+
+@given(st.lists(st.sampled_from(_DEGENERACY_POOL), min_size=1, max_size=8))
+@example(["(JOIN X1 X2)", "(JOIN X2 X1)"])
+@example(["(JOIN X1 (JOIN X1 X2))"] * 3)
+def test_model_is_degenerate_exactly_when_the_programs_are_identical(texts):
+    # each text parsed anew, so repeats are equal programs, not one object
+    model = build_model([parse_tree(t) for t in texts])
+    assert model.degenerate == (len(set(texts)) == 1)
 
 
 def test_build_model_rejects_empty_selection():
@@ -79,7 +102,7 @@ def test_sampling_a_degenerate_model_reproduces_the_tree():
     model = build_model([tree] * 5)
     rng = random.Random(0)
     for _ in range(50):
-        assert sample_model(model, rng) == tree
+        assert format_tree(sample_model(model, rng)) == format_tree(tree)
 
 
 def test_sampling_frequencies_match_the_table():
@@ -221,13 +244,24 @@ def test_run_pipe_invariants_via_observer():
 
 
 def test_run_pipe_detects_the_degenerate_absorbing_state():
-    # a non-optimal converged population can never improve: the run must stop
+    # a non-optimal converged selection can never improve: the run must stop
     # early instead of replaying identical generations to the cap
     problem = order_problem(2)
-    cfg = GpConfig(pop_size=8, max_depth=2, seed=0, max_generations=10_000)
-    result = run_pipe(problem, cfg)
-    if not result.success:
-        assert result.generations_used < 10_000
+    cfg = GpConfig(pop_size=4, max_depth=2, seed=27, max_generations=10_000)
+    pops = []
+    models = []
+    result = run_pipe(
+        problem,
+        cfg,
+        observer=lambda gen, pop: pops.append((gen, [ind.tree for ind in pop])),
+        model_observer=lambda gen, model: models.append(gen),
+    )
+    assert result == RunResult(False, 32, 7, 1.0)
+    assert [gen for gen, _ in pops] == list(range(8))
+    # generation 7 built a degenerate model and stopped there; the optimum was
+    # still reachable, so neither the cap nor the reachability cut stopped it
+    assert models == list(range(7))
+    assert optimum_reachable(pops[-1][1], problem.primitives)
 
 
 def test_run_pipe_is_deterministic_per_seed():
