@@ -66,7 +66,7 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-gens", type=_at_least(0), default=DEFAULT_MAX_GENERATIONS,
                    metavar="G", help="generation cap per run (default: %(default)s)")
-    p.add_argument("--seed", type=int, default=0, metavar="S",
+    p.add_argument("--seed", type=_at_least(0), default=0, metavar="S",
                    help="base random seed (default: %(default)s)")
 
 

@@ -40,12 +40,6 @@ class GpConfig:
             raise ValueError(f"max_generations must be >= 0, got {self.max_generations}")
 
 
-@dataclass(frozen=True, slots=True)
-class Individual:
-    tree: Node
-    fitness: float
-
-
 @dataclass(frozen=True)
 class RunResult:
     success: bool
@@ -54,15 +48,15 @@ class RunResult:
     best_fitness: float
 
 
-def binary_tournament(pop: list[Individual], rng: random.Random) -> Individual:
-    """Draw two individuals uniformly with replacement; the fitter one wins,
-    ties decided by a fair coin."""
-    n = len(pop)
-    a = pop[rng.randrange(n)]
-    b = pop[rng.randrange(n)]
-    if a.fitness > b.fitness:
+def binary_tournament(fitness: list[float], rng: random.Random) -> int:
+    """Index of the winner of two draws from ``fitness``, uniform with
+    replacement; the fitter one wins, ties decided by a fair coin."""
+    n = len(fitness)
+    a = rng.randrange(n)
+    b = rng.randrange(n)
+    if fitness[a] > fitness[b]:
         return a
-    if b.fitness > a.fitness:
+    if fitness[b] > fitness[a]:
         return b
     return a if rng.random() < 0.5 else b
 
@@ -159,14 +153,20 @@ def _collector_paused() -> Iterator[None]:
 def _evolve(
     problem: ProblemSpec,
     cfg: GpConfig,
-    make_offspring: Callable[[int, list[Individual], random.Random], list[Node] | None],
-    observer: Callable[[int, list[Individual]], None] | None = None,
+    make_offspring: Callable[[int, list[Node], list[float], random.Random], list[Node] | None],
+    observer: Callable[[int, list[Node]], None] | None = None,
 ) -> RunResult:
-    """One run seeded ``cfg.seed``; engines differ only in ``make_offspring``.
+    """One run seeded ``cfg.seed``; engines differ only in ``make_offspring``,
+    which gets the generation number, its trees, their fitness values (index
+    for index) and the run's RNG.
 
     Termination: optimum found (success), generation cap hit, or the optimum
     has become unreachable from the symbols left in the population (checked
     every few generations; failure either way).
+
+    ``observer`` is called with the generation number and its trees before
+    the termination checks, so it sees every generation.  An exception it
+    raises ends the run; that is how a pool worker abandons a run.
     """
     with _collector_paused():
         rng = random.Random(cfg.seed)
@@ -177,45 +177,43 @@ def _evolve(
         # which fails for the degenerate trap at delta=0 (all-false ties it)
         check_reachability = problem.trap is None or problem.trap.delta > 0.0
         trees = ramped_half_and_half(ps, cfg.pop_size, cfg.max_depth, rng)
-        pop = [Individual(t, evaluator(t)) for t in trees]
-        best = max(ind.fitness for ind in pop)
+        fitness = [evaluator(t) for t in trees]
+        best = max(fitness)
         generation = 0
         while True:
             if observer is not None:
-                observer(generation, pop)
+                observer(generation, trees)
             if best >= optimum or generation >= cfg.max_generations:
                 break
             if (
                 check_reachability
                 and generation % REACHABILITY_CHECK_PERIOD == 0
-                and not optimum_reachable([ind.tree for ind in pop], ps)
+                and not optimum_reachable(trees, ps)
             ):
                 break
-            offspring = make_offspring(generation, pop, rng)
-            if offspring is None:  # variation hit a provably absorbing state
+            trees = make_offspring(generation, trees, fitness, rng)
+            if trees is None:  # variation hit a provably absorbing state
                 break
-            pop = [Individual(t, evaluator(t)) for t in offspring]
+            fitness = [evaluator(t) for t in trees]
             generation += 1
-            gen_best = max(ind.fitness for ind in pop)
-            if gen_best > best:
-                best = gen_best
+            best = max(best, max(fitness))
         return RunResult(best >= optimum, evaluator.evaluations, generation, best)
 
 
 def run_gp(
     problem: ProblemSpec,
     cfg: GpConfig,
-    observer: Callable[[int, list[Individual]], None] | None = None,
+    observer: Callable[[int, list[Node]], None] | None = None,
 ) -> RunResult:
     """One seeded GP run; crossover applies to every selected pair."""
 
     def make_offspring(
-        generation: int, pop: list[Individual], rng: random.Random
+        generation: int, trees: list[Node], fitness: list[float], rng: random.Random
     ) -> list[Node]:
-        parents = [binary_tournament(pop, rng) for _ in range(cfg.pop_size)]
+        parents = [trees[binary_tournament(fitness, rng)] for _ in range(cfg.pop_size)]
         offspring: list[Node] = []
         for i in range(0, cfg.pop_size, 2):
-            c1, c2 = subtree_crossover(parents[i].tree, parents[i + 1].tree, cfg, rng)
+            c1, c2 = subtree_crossover(parents[i], parents[i + 1], cfg, rng)
             offspring.append(c1)
             offspring.append(c2)
         return offspring

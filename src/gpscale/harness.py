@@ -23,10 +23,10 @@ from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence, get_type_hints
 
-from .gp import DEFAULT_MAX_GENERATIONS, GpConfig, Individual, RunResult, run_gp
+from .gp import DEFAULT_MAX_GENERATIONS, GpConfig, RunResult, run_gp
 from .pipe import run_pipe
 from .problems import ProblemSpec, order_problem, trap_problem
-from .trees import default_max_depth
+from .trees import Node, default_max_depth
 
 if TYPE_CHECKING:
     from .pool import WorkerPool
@@ -84,7 +84,7 @@ def run_algorithm(
     algo: str,
     problem: ProblemSpec,
     cfg: GpConfig,
-    observer: Callable[[int, list[Individual]], None] | None = None,
+    observer: Callable[[int, list[Node]], None] | None = None,
     **engine_options,
 ) -> RunResult:
     """One run of ``algo``; further keyword arguments go to the engine, such

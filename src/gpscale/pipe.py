@@ -17,7 +17,7 @@ from typing import Callable
 from .primitives import PrimitiveSet, arity
 from .problems import ProblemSpec
 from .trees import Node, leaf
-from .gp import GpConfig, Individual, RunResult, _evolve, binary_tournament
+from .gp import GpConfig, RunResult, _evolve, binary_tournament
 
 
 class ModelNode:
@@ -101,23 +101,22 @@ def dump_model(model: ModelNode, ps: PrimitiveSet) -> str:
     """
     rank = {s: i for i, s in enumerate(ps.alphabet)}
     lines: list[str] = []
-
-    def walk(node: ModelNode, path: str) -> None:
+    stack = [(model, "/")]  # preorder: children pushed last to first
+    while stack:
+        node, path = stack.pop()
         probs = node.probs
         table = ",".join(f"{s}={probs[s]:.6f}" for s in sorted(probs, key=rank.__getitem__))
         lines.append(f"{path}: {{{table}}}")
         prefix = "" if path == "/" else path
-        for i, child in enumerate(node.children):
-            walk(child, f"{prefix}/{i}")
-
-    walk(model, "/")
+        for i in reversed(range(len(node.children))):
+            stack.append((node.children[i], f"{prefix}/{i}"))
     return "\n".join(lines)
 
 
 def run_pipe(
     problem: ProblemSpec,
     cfg: GpConfig,
-    observer: Callable[[int, list[Individual]], None] | None = None,
+    observer: Callable[[int, list[Node]], None] | None = None,
     model_observer: Callable[[int, ModelNode], None] | None = None,
 ) -> RunResult:
     """One seeded run with prototype-tree recombination instead of crossover.
@@ -130,10 +129,10 @@ def run_pipe(
     """
 
     def make_offspring(
-        generation: int, pop: list[Individual], rng: random.Random
+        generation: int, trees: list[Node], fitness: list[float], rng: random.Random
     ) -> list[Node] | None:
-        selected = [binary_tournament(pop, rng) for _ in range(cfg.pop_size)]
-        model = build_model([ind.tree for ind in selected])
+        selected = [trees[binary_tournament(fitness, rng)] for _ in range(cfg.pop_size)]
+        model = build_model(selected)
         if model.degenerate:
             return None
         if model_observer is not None:

@@ -20,8 +20,9 @@ from multiprocessing.connection import Connection, wait
 from typing import Sequence
 
 from . import harness
-from .gp import GpConfig, Individual, RunResult
+from .gp import GpConfig, RunResult
 from .problems import ProblemSpec
+from .trees import Node
 
 
 class _Abandoned(Exception):
@@ -33,7 +34,7 @@ def _run_pooled(
 ) -> RunResult | None:
     """One run in a pool worker; None if its batch finished before it did."""
 
-    def check(generation: int, pop: list[Individual]) -> None:
+    def check(generation: int, trees: list[Node]) -> None:
         if finished.value >= batch:
             raise _Abandoned
 

@@ -310,7 +310,9 @@ def _stub_runs(monkeypatch):
     ["sweep", "--plan", "trap", "--k", "1"],
     ["sweep", "--plan", "trap", "--delta", "2"],
     ["sweep", "--plan", "order", "--sizes", "3,0"],
+    ["sweep", "--seed", "-1"],
     ["run", "--pop", "3"],
+    ["run", "--seed", "-5"],
     ["run", "--pop", "8", "--dump-model"],
     ["bisect", "--problem", "trap", "--l", "7"],
     ["express", "--l", "2", "(JOIN X1 X9)"],

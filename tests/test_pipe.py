@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import re
@@ -206,6 +207,23 @@ def test_dump_model_format():
         "/0: {X2=0.333333,X10=0.333333,~X2=0.333333}",
         "/1: {X1=0.333333,~X10=0.333333,J1=0.333333}",
     ]
+    # nested positions come in preorder
+    model = build_model([parse_tree("(JOIN (JOIN X1 X2) X1)")])
+    lines = dump_model(model, PrimitiveSet(2)).splitlines()
+    assert [line.split(":")[0] for line in lines] == ["/", "/0", "/0/0", "/0/1", "/1"]
+
+
+def test_dump_model_leaves_no_reference_cycles():
+    # the CLI dumps the model after a run; a self-calling walk would leave
+    # a cycle that only the cyclic collector frees
+    model = build_model([parse_tree("(JOIN X1 X2)")])
+    gc.collect()
+    gc.disable()
+    try:
+        dump_model(model, PrimitiveSet(2))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_dump_model_rejects_a_symbol_outside_the_instance():
@@ -253,7 +271,7 @@ def test_run_pipe_detects_the_degenerate_absorbing_state():
     result = run_pipe(
         problem,
         cfg,
-        observer=lambda gen, pop: pops.append((gen, [ind.tree for ind in pop])),
+        observer=lambda gen, trees: pops.append((gen, trees)),
         model_observer=lambda gen, model: models.append(gen),
     )
     assert result == RunResult(False, 32, 7, 1.0)

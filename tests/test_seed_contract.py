@@ -8,6 +8,9 @@ says so.
 """
 
 import hashlib
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +50,14 @@ RUNS = {
 # sha256 of the CSV of an ORDER sweep over l=3,4, both engines, 3 runs, seed base 5
 SWEEP_CSV_SHA256 = "fd4a9fc203aded4235858c2f96355dccb912f63f7c78b86aabfe445ddfb0f046"
 
+# workload -> (csv, runs): the round-0 digest line of the benchmark at seed 7
+BENCHMARK_DIGESTS = {
+    "gp-order": ("9e81f403034a5643", "46e5cc453b4f36e6"),
+    "pipe-order": ("adf26bae7f4a8926", "ed04029055ff92e2"),
+    "variants-w2": ("a93f0deb53a6d2f9", "718495e7b9dbcc9e"),
+}
+BENCHMARK = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+
 
 @pytest.mark.parametrize("key", sorted(RUNS), ids=lambda key: "-".join(map(str, key)))
 def test_fixed_seed_run_result(key):
@@ -61,3 +72,16 @@ def test_fixed_seed_sweep_csv(tmp_path, workers):
     path = tmp_path / "order.csv"
     write_csv(scalability_sweep(plan, workers=workers), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SWEEP_CSV_SHA256
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_DIGESTS))
+def test_fixed_seed_benchmark_digest(workload):
+    proc = subprocess.run(
+        [sys.executable, str(BENCHMARK), "--workload", workload, "--seed", "7",
+         "--seconds", "0.1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    csv, runs = BENCHMARK_DIGESTS[workload]
+    line = f"digest workload={workload} seed=7 round=0 csv={csv} runs={runs}"
+    assert line in proc.stdout.splitlines(), proc.stdout
