@@ -16,7 +16,8 @@ from . import harness
 from .gp import DEFAULT_MAX_GENERATIONS, GpConfig
 from .pipe import dump_model
 from .problems import ProblemSpec, evaluate, express, order_problem, trap_problem
-from .trees import default_max_depth, inorder_leaves, parse_tree, validate_tree
+from .trees import (default_max_depth, inorder_leaves, minimum_optimum_depth, parse_tree,
+                    validate_tree)
 
 
 def _print_kv(**pairs) -> None:
@@ -109,10 +110,11 @@ def build_parser() -> argparse.ArgumentParser:
                            "CSV + SVG reports")
     sweep.add_argument("--plan", choices=harness.PLAN_NAMES + ("all",), default="order",
                        help="built-in sweep plan, or all of them in turn (default: order)")
-    sweep.add_argument("--algo", choices=("gp", "pipe", "both"), default="both")
+    sweep.add_argument("--algo", choices=harness.ALGORITHMS + ("both",), default="both")
     sweep.add_argument("--sizes", type=str, default=None, metavar="A,B,...",
                        help="comma-separated override of the swept sizes of every "
-                       "plan (junk counts for plan junk-fixed-l)")
+                       "plan: order-junk takes multiples of 5, trap multiples of "
+                       "--k, and junk-fixed-l reads them as junk counts at l=20")
     _add_trap_flags(sweep)
     sweep.add_argument("--out", type=str, required=True, metavar="DIR",
                        help="output directory for <plan>.csv and <plan>.svg")
@@ -138,13 +140,23 @@ def _build_problem(args, parser: argparse.ArgumentParser) -> ProblemSpec:
         parser.error(f"--problem/--l/--k/--delta/--junk: {err}")
 
 
+def _max_depth(args, parser: argparse.ArgumentParser) -> int:
+    """``--max-depth``, derived from ``--l`` by default.  One that no optimum
+    fits in is a usage error, as every run at it would fail."""
+    if args.max_depth is None:
+        return default_max_depth(args.l)
+    least = minimum_optimum_depth(args.l)
+    if args.max_depth < least:
+        parser.error(f"--max-depth: no tree {args.max_depth} edges deep holds the "
+                     f"{args.l} leaves of an optimum; use at least {least}")
+    return args.max_depth
+
+
 def _cmd_run(args, parser) -> int:
     if args.dump_model and args.algo != "pipe":
         parser.error("--dump-model: only a pipe run has a model; add --algo pipe")
     problem = _build_problem(args, parser)
-    max_depth = args.max_depth
-    if max_depth is None:
-        max_depth = default_max_depth(args.l)
+    max_depth = _max_depth(args, parser)
     try:
         cfg = GpConfig(
             pop_size=args.pop,
@@ -170,6 +182,7 @@ def _cmd_run(args, parser) -> int:
 
 def _cmd_bisect(args, parser) -> int:
     problem = _build_problem(args, parser)
+    max_depth = _max_depth(args, parser)
     error = None
     try:
         sizing = harness.bisect_population_size(
@@ -177,7 +190,7 @@ def _cmd_bisect(args, parser) -> int:
             args.algo,
             args.seed,
             n_runs=args.runs,
-            max_depth=args.max_depth,
+            max_depth=max_depth,
             max_generations=args.max_gens,
             ceiling=args.pop_ceiling,
             workers=args.workers,

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import statistics
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence, get_type_hints
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, get_type_hints
 
 from .gp import DEFAULT_MAX_GENERATIONS, GpConfig, RunResult, run_gp
 from .pipe import run_pipe
@@ -127,20 +127,19 @@ def worker_pool(workers: int) -> Iterator[WorkerPool | None]:
         pool.close()
 
 
-def collect_batch(runs: Sequence[Callable[[], RunResult]]) -> list[RunResult]:
-    """Call the runs of a batch in seed order and return their results.
+def collect_batch(results: Iterable[RunResult]) -> list[RunResult]:
+    """Read a batch's results in seed order up to its first failing run.
 
-    A run is a zero-argument callable: the run itself at one worker, its
-    future's ``result`` in a pool.  Stops after the first run that fails or
-    raises (re-raised here); the runs after it are never called.
+    The read is lazy and goes no further, so a stream that starts each run
+    only when it is read never starts the runs after that one.  A run that
+    raises ends the read with its exception.
     """
-    results: list[RunResult] = []
-    for run in runs:
-        result = run()
-        results.append(result)
+    batch: list[RunResult] = []
+    for result in results:
+        batch.append(result)
         if not result.success:
             break
-    return results
+    return batch
 
 
 def batch_success(
@@ -164,24 +163,14 @@ def batch_success(
     if max_depth is None:
         max_depth = default_max_depth(problem.primitives.num_pairs)
     jobs = [
-        (
-            algo,
-            problem,
-            GpConfig(
-                pop_size=pop_size,
-                max_depth=max_depth,
-                max_generations=max_generations,
-                seed=seed_base + i,
-            ),
-        )
+        (algo, problem, GpConfig(pop_size, max_depth, max_generations, seed=seed_base + i))
         for i in range(n_runs)
     ]
     with worker_pool(workers) as pool:
         if pool is not None:
             results = pool.run_batch(jobs)
         else:
-            runs = [partial(run_algorithm, *job) for job in jobs]
-            results = collect_batch(runs)
+            results = collect_batch(run_algorithm(*job) for job in jobs)
     return all(r.success for r in results), results
 
 
@@ -348,47 +337,42 @@ def build_plan(
     ``order``/``trap``/``order-neg`` sweep problem size; ``order-junk`` adds
     l/5 junk terminals per size; ``junk-fixed-l`` holds l=20 and sweeps the
     junk count at depth budgets 6 and 7.  ``sizes`` overrides the swept list
-    (problem sizes, or junk counts for ``junk-fixed-l``).  Each cell's
-    problem is built here, so a size, ``k`` or ``delta`` it rejects raises
-    ValueError before any run.
+    (problem sizes, or junk counts for ``junk-fixed-l``).  Rows run cell by
+    cell, one per algorithm.  Each cell's problem is built here, so a size,
+    ``k`` or ``delta`` it rejects raises ValueError naming the plan before
+    any run.
     """
     for algo in algorithms:
         if algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
-    specs: list[RowSpec] = []
     if name == "order":
-        for l in sizes or _ORDER_SIZES:
-            for algo in algorithms:
-                specs.append(RowSpec(algo, "order", l))
+        cells = [dict(problem="order", l=l) for l in sizes or _ORDER_SIZES]
     elif name == "trap":
-        for l in sizes or _TRAP_SIZES:
-            for algo in algorithms:
-                specs.append(RowSpec(algo, "trap", l, k=k, delta=delta))
+        cells = [dict(problem="trap", l=l, k=k, delta=delta) for l in sizes or _TRAP_SIZES]
     elif name == "order-neg":
-        for l in sizes or _ORDER_SIZES:
-            for algo in algorithms:
-                specs.append(RowSpec(algo, "order", l, neg_join=True))
+        cells = [dict(problem="order", l=l, neg_join=True) for l in sizes or _ORDER_SIZES]
     elif name == "order-junk":
-        for l in sizes or _ORDER_SIZES:
-            if l % 5:
-                raise ValueError(f"order-junk size {l} is not divisible by 5")
-            for algo in algorithms:
-                specs.append(RowSpec(algo, "order", l, num_junk=l // 5))
+        cells = [dict(problem="order", l=l, num_junk=l // 5) for l in sizes or _ORDER_SIZES]
+        for cell in cells:
+            if cell["l"] % 5:
+                raise ValueError(f"plan order-junk: size {cell['l']} is not divisible by 5")
     elif name == "junk-fixed-l":
-        for depth in _JUNK_FIXED_DEPTHS:
-            for junk in sizes or _JUNK_FIXED_COUNTS:
-                for algo in algorithms:
-                    specs.append(
-                        RowSpec(algo, "order", _JUNK_FIXED_L, num_junk=junk, max_depth=depth)
-                    )
+        cells = [
+            dict(problem="order", l=_JUNK_FIXED_L, num_junk=junk, max_depth=depth)
+            for depth in _JUNK_FIXED_DEPTHS
+            for junk in sizes or _JUNK_FIXED_COUNTS
+        ]
     else:
         raise ValueError(f"unknown plan {name!r}; expected one of {PLAN_NAMES}")
-    for spec in specs:
-        spec.problem_spec()
     rows = tuple(
-        dataclasses.replace(s, seed_base=seed_base + _ROW_SEED_STRIDE * i)
-        for i, s in enumerate(specs)
+        RowSpec(algo, **cell, seed_base=seed_base + _ROW_SEED_STRIDE * i)
+        for i, (cell, algo) in enumerate(itertools.product(cells, algorithms))
     )
+    try:
+        for row in rows:
+            row.problem_spec()
+    except ValueError as err:
+        raise ValueError(f"plan {name}: {err}") from err
     return SweepPlan(name, rows, n_runs, max_generations, ceiling)
 
 

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import multiprocessing
 import traceback
-from collections import deque
 from concurrent.futures.process import BrokenProcessPool
-from functools import partial
 from multiprocessing.connection import Connection, wait
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import harness
 from .gp import GpConfig, RunResult
@@ -89,32 +87,34 @@ class WorkerPool:
             raise
 
     def run_batch(self, jobs: Sequence[tuple[str, ProblemSpec, GpConfig]]) -> list[RunResult]:
-        """The same run list a one-worker batch returns: results are read in
-        seed order through :func:`harness.collect_batch`, so the batch waits
-        only for the runs up to its first failing or raising one."""
+        """The same run list a one-worker batch returns: :func:`harness.collect_batch`
+        reads the batch's results as a stream, so the batch waits only for the
+        runs up to its first failing or raising one."""
         self.batches += 1
-        batch = self.batches
-        todo = deque(enumerate(jobs))  # runs not yet dispatched
-        replies: dict[int, RunResult | Exception] = {}
+        try:
+            return harness.collect_batch(self._results(self.batches, jobs))
+        finally:
+            self.finished.value = self.batches
 
-        def result(index: int) -> RunResult:
+    def _results(self, batch: int, jobs: Sequence) -> Iterator[RunResult]:
+        """The results of ``jobs`` in seed order, a run's exception raised in
+        its place.  While it waits for a result it hands each idle worker the
+        next run not yet sent; it sends nothing between reads, so once the
+        reader stops, no further run starts."""
+        sent = 0
+        replies: dict[int, RunResult | Exception] = {}
+        for index in range(len(jobs)):
             while index not in replies:
-                while self.idle and todo:
+                while self.idle and sent < len(jobs):
                     conn = self.idle.pop()
-                    run, job = todo.popleft()
-                    conn.send((batch, job))
-                    self.busy[conn] = run
+                    conn.send((batch, jobs[sent]))
+                    self.busy[conn] = sent
+                    sent += 1
                 self._receive(batch, replies)
             outcome = replies.pop(index)
             if isinstance(outcome, Exception):
                 raise outcome
-            return outcome
-
-        try:
-            runs = [partial(result, index) for index in range(len(jobs))]
-            return harness.collect_batch(runs)
-        finally:
-            self.finished.value = batch
+            yield outcome
 
     def _receive(self, batch: int, replies: dict[int, RunResult | Exception]) -> None:
         """Wait for replies; file those of ``batch`` and free their workers."""

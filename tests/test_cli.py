@@ -229,6 +229,19 @@ def test_sweep_plan_all_rejects_a_size_of_any_plan_before_running(
     assert not list(tmp_path.iterdir())
 
 
+def test_sweep_plan_all_names_the_plan_that_rejects_a_size(tmp_path, capsys, monkeypatch):
+    runs = _stub_runs(monkeypatch)
+    out_dir = tmp_path / "results"
+    with pytest.raises(SystemExit) as exc:  # 10 suits order but not the trap's k=3
+        run_cli(capsys, "sweep", "--plan", "all", "--sizes", "10", "--out", str(out_dir))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: gpscale sweep" in err
+    assert "plan trap" in err
+    assert runs == []
+    assert not out_dir.exists()
+
+
 def _stub_sizing(problem, algo, seed_base=0, **kwargs):
     """Stand-in for ``harness.bisect_population_size``: a fixed sizing per cell."""
     size = 16 * problem.primitives.num_pairs
@@ -314,6 +327,8 @@ def _stub_runs(monkeypatch):
     ["run", "--pop", "3"],
     ["run", "--seed", "-5"],
     ["run", "--pop", "8", "--dump-model"],
+    ["run", "--pop", "8", "--max-depth", "1"],
+    ["bisect", "--max-depth", "1"],
     ["bisect", "--problem", "trap", "--l", "7"],
     ["express", "--l", "2", "(JOIN X1 X9)"],
 ], ids=" ".join)

@@ -304,14 +304,38 @@ def _run(outcome=None):
 
 
 def test_collect_batch_ends_at_the_first_ending_run_in_seed_order():
+    # each run starts only when the stream is read, as at one worker
     runs = [_run(True), _run(False), _run(False), _run()]
-    assert [r.success for r in collect_batch(runs)] == [True, False]
-    assert len(collect_batch([_run(True)] * 3)) == 3
+    assert [r.success for r in collect_batch(run() for run in runs)] == [True, False]
+    runs = [_run(True)] * 3
+    assert len(collect_batch(run() for run in runs)) == 3
     with pytest.raises(ValueError):
-        collect_batch([_run(True), _run(ValueError("run 1")), _run()])
-    failed_then_raised = [_run(False), _run(ValueError())]
-    assert [r.success for r in collect_batch(failed_then_raised)] == [False]
-    assert collect_batch([]) == []
+        runs = [_run(True), _run(ValueError("run 1")), _run()]
+        collect_batch(run() for run in runs)
+    runs = [_run(False), _run(ValueError())]
+    assert [r.success for r in collect_batch(run() for run in runs)] == [False]
+    assert collect_batch(run() for run in []) == []
+
+
+def test_pooled_batch_starts_no_run_past_the_deciding_one(monkeypatch):
+    starts = multiprocessing.Value("i", 0)  # before the pool forks, so workers share it
+
+    def run(problem, cfg, observer=None):
+        with starts.get_lock():
+            starts.value += 1
+        if cfg.seed == 0:
+            return RunResult(False, 0, 0, 0.0)
+        for generation in range(2000):  # 20 s unless abandoned
+            observer(generation, [])
+            time.sleep(0.01)
+        return RunResult(True, 0, generation, 0.0)
+
+    monkeypatch.setattr(harness, "run_gp", run)  # inherited by forked workers
+    ok, results = batch_success(order_problem(3), "gp", 16, n_runs=6, workers=2)
+    assert (ok, results) == (False, [RunResult(False, 0, 0, 0.0)])
+    # runs 0 and 1 went out at once; reading past run 0 would have sent run 2
+    assert starts.value <= 2
+    assert multiprocessing.active_children() == []
 
 
 def test_one_worker_sweep_loads_no_pool_code():

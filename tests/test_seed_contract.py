@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from gpscale.gp import GpConfig, RunResult, run_gp
-from gpscale.harness import build_plan, scalability_sweep, write_csv
+from gpscale.harness import PLAN_NAMES, build_plan, scalability_sweep, write_csv
 from gpscale.pipe import run_pipe
 from gpscale.problems import order_problem, trap_problem
 
@@ -50,6 +50,9 @@ RUNS = {
 # sha256 of the CSV of an ORDER sweep over l=3,4, both engines, 3 runs, seed base 5
 SWEEP_CSV_SHA256 = "fd4a9fc203aded4235858c2f96355dccb912f63f7c78b86aabfe445ddfb0f046"
 
+# sha256 of repr(build_plan(name, seed_base=5).rows) for each name in PLAN_NAMES, in order
+PLAN_ROWS_SHA256 = "d6af53b54d95918ae519e79aec9dfcd35a9d9f783b6743aa0d80bd94d6cd36f8"
+
 # workload -> (csv, runs): the round-0 digest line of the benchmark at seed 7
 BENCHMARK_DIGESTS = {
     "gp-order": ("9e81f403034a5643", "46e5cc453b4f36e6"),
@@ -72,6 +75,16 @@ def test_fixed_seed_sweep_csv(tmp_path, workers):
     path = tmp_path / "order.csv"
     write_csv(scalability_sweep(plan, workers=workers), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SWEEP_CSV_SHA256
+
+
+def test_default_plans_expand_to_pinned_rows():
+    # row order, seed bases and junk-fixed-l's depth-major order, which the
+    # sweep CSV above (ORDER l=3,4 only) does not cover
+    digest = hashlib.sha256()
+    for name in PLAN_NAMES:
+        digest.update(repr(build_plan(name, seed_base=5).rows).encode())
+    assert [len(build_plan(name).rows) for name in PLAN_NAMES] == [14, 12, 14, 14, 20]
+    assert digest.hexdigest() == PLAN_ROWS_SHA256
 
 
 @pytest.mark.parametrize("workload", sorted(BENCHMARK_DIGESTS))
