@@ -17,16 +17,16 @@ import csv
 import dataclasses
 import itertools
 import statistics
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, get_type_hints
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence, get_type_hints
 
 from .gp import DEFAULT_MAX_GENERATIONS, GpConfig, RunResult, run_gp
 from .pipe import run_pipe
 from .problems import ProblemSpec, order_problem, trap_problem
-from .trees import Node, default_max_depth
+from .trees import Node, default_max_depth, minimum_optimum_depth
 
 if TYPE_CHECKING:
     from .pool import WorkerPool
@@ -107,7 +107,7 @@ def worker_pool(workers: int) -> Iterator[WorkerPool | None]:
     each open this scope, so a caller that wraps several calls in it runs them
     all on one pool.  A call inside an open scope reuses its pool; the call
     that opened the pool closes it on every exit, which stops and joins the
-    workers.
+    workers.  Each batch on it is one :meth:`WorkerPool.results` stream.
     """
     if workers <= 1:
         yield None
@@ -127,18 +127,19 @@ def worker_pool(workers: int) -> Iterator[WorkerPool | None]:
         pool.close()
 
 
-def collect_batch(results: Iterable[RunResult]) -> list[RunResult]:
-    """Read a batch's results in seed order up to its first failing run.
+def collect_batch(results: Iterator[RunResult]) -> list[RunResult]:
+    """Read a batch's results up to its first failing run, then close the stream.
 
     The read is lazy and goes no further, so a stream that starts each run
     only when it is read never starts the runs after that one.  A run that
     raises ends the read with its exception.
     """
     batch: list[RunResult] = []
-    for result in results:
-        batch.append(result)
-        if not result.success:
-            break
+    with closing(results):
+        for result in results:
+            batch.append(result)
+            if not result.success:
+                break
     return batch
 
 
@@ -156,21 +157,22 @@ def batch_success(
     """Run ``n_runs`` independent runs seeded ``seed_base + i``; True iff all
     succeed.  The batch stops at its first failing run, so a failed batch
     returns a partial list that ends with that run.  The result does not
-    depend on ``workers``.
+    depend on ``workers``; a ``max_depth`` no optimum fits raises ValueError.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
+    num_pairs = problem.primitives.num_pairs
     if max_depth is None:
-        max_depth = default_max_depth(problem.primitives.num_pairs)
+        max_depth = default_max_depth(num_pairs)
+    elif max_depth < (least := minimum_optimum_depth(num_pairs)):
+        raise ValueError(f"max_depth {max_depth} fits no optimum at l={num_pairs}; use >= {least}")
     jobs = [
         (algo, problem, GpConfig(pop_size, max_depth, max_generations, seed=seed_base + i))
         for i in range(n_runs)
     ]
     with worker_pool(workers) as pool:
-        if pool is not None:
-            results = pool.run_batch(jobs)
-        else:
-            results = collect_batch(run_algorithm(*job) for job in jobs)
+        stream = pool.results(jobs) if pool is not None else (run_algorithm(*job) for job in jobs)
+        results = collect_batch(stream)
     return all(r.success for r in results), results
 
 
@@ -295,7 +297,6 @@ class SweepRow:
 
 
 _FIELDS = tuple(f.name for f in dataclasses.fields(SweepRow))
-CSV_HEADER = ",".join(_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -342,6 +343,8 @@ def build_plan(
     ``k`` or ``delta`` it rejects raises ValueError naming the plan before
     any run.
     """
+    if not algorithms:
+        raise ValueError(f"no algorithm given; expected some of {ALGORITHMS}")
     for algo in algorithms:
         if algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")

@@ -1,12 +1,12 @@
 """Worker processes for probe batches.
 
-Each worker is a process that serves runs over its own duplex pipe.  The
-parent hands every idle worker the next run of the batch in seed order.
-Once the batch is decided it hands out no more, and runs still going stop at
-their next generation.  Workers call ``harness.run_algorithm`` through the
-module attribute, so a forked worker runs what the parent had bound there
-when the pool started.  Which pool a call runs on, and when it closes, is
-decided by the pool scope in :mod:`gpscale.harness`.
+Each worker is a process that serves runs over its own duplex pipe.  A batch
+is a stream of results in seed order: an idle worker gets the next run only
+while the stream's reader waits, and once the stream ends, runs still
+going stop at their next generation.  Workers call ``harness.run_algorithm``
+through the module attribute, so a forked worker runs what the parent had
+bound there when the pool started.  Which pool a call runs on, and when it
+closes, is decided by the pool scope in :mod:`gpscale.harness`.
 """
 
 from __future__ import annotations
@@ -60,10 +60,10 @@ def _serve(conn: Connection, finished) -> None:
 class WorkerPool:
     """Worker processes that live for one top-level harness call.
 
-    Batches are numbered in submission order.  When the parent has the runs
-    a batch needs, it raises the shared ``finished`` number to that batch:
-    the batch dispatches no further runs, and running ones stop at their next
-    generation through the run's ``observer`` hook.
+    Each :meth:`results` stream is one batch, numbered when first read.  When
+    it ends, it raises the shared ``finished`` number to that batch: runs
+    still going stop at their next generation through the ``observer`` hook,
+    and their late replies only free their workers.
     """
 
     def __init__(self, workers: int) -> None:
@@ -86,35 +86,31 @@ class WorkerPool:
             self.close()
             raise
 
-    def run_batch(self, jobs: Sequence[tuple[str, ProblemSpec, GpConfig]]) -> list[RunResult]:
-        """The same run list a one-worker batch returns: :func:`harness.collect_batch`
-        reads the batch's results as a stream, so the batch waits only for the
-        runs up to its first failing or raising one."""
+    def results(self, jobs: Sequence[tuple[str, ProblemSpec, GpConfig]]) -> Iterator[RunResult]:
+        """A new batch: the results of ``jobs`` in seed order, a run's
+        exception raised in its place.  While it waits for a result it hands
+        each idle worker the next run not yet sent; it sends nothing between
+        reads, so once the reader stops, no further run starts.  The batch
+        ends when the stream is exhausted, raises or is closed."""
         self.batches += 1
-        try:
-            return harness.collect_batch(self._results(self.batches, jobs))
-        finally:
-            self.finished.value = self.batches
-
-    def _results(self, batch: int, jobs: Sequence) -> Iterator[RunResult]:
-        """The results of ``jobs`` in seed order, a run's exception raised in
-        its place.  While it waits for a result it hands each idle worker the
-        next run not yet sent; it sends nothing between reads, so once the
-        reader stops, no further run starts."""
+        batch = self.batches
         sent = 0
         replies: dict[int, RunResult | Exception] = {}
-        for index in range(len(jobs)):
-            while index not in replies:
-                while self.idle and sent < len(jobs):
-                    conn = self.idle.pop()
-                    conn.send((batch, jobs[sent]))
-                    self.busy[conn] = sent
-                    sent += 1
-                self._receive(batch, replies)
-            outcome = replies.pop(index)
-            if isinstance(outcome, Exception):
-                raise outcome
-            yield outcome
+        try:
+            for index in range(len(jobs)):
+                while index not in replies:
+                    while self.idle and sent < len(jobs):
+                        conn = self.idle.pop()
+                        conn.send((batch, jobs[sent]))
+                        self.busy[conn] = sent
+                        sent += 1
+                    self._receive(batch, replies)
+                outcome = replies.pop(index)
+                if isinstance(outcome, Exception):
+                    raise outcome
+                yield outcome
+        finally:
+            self.finished.value = batch
 
     def _receive(self, batch: int, replies: dict[int, RunResult | Exception]) -> None:
         """Wait for replies; file those of ``batch`` and free their workers."""

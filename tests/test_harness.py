@@ -13,10 +13,9 @@ from typing import get_type_hints
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gpscale.gp import RunResult
+from gpscale.gp import GpConfig, RunResult
 from gpscale import harness, pool
 from gpscale.harness import (
-    CSV_HEADER,
     RowSpec,
     SizingFailure,
     SweepPlan,
@@ -243,9 +242,9 @@ def test_a_sizing_runs_every_probe_on_one_pool_and_one_worker_uses_none(monkeypa
             opened.append(workers)
             super().__init__(workers)
 
-        def run_batch(self, jobs):
+        def results(self, jobs):
             batches.append(len(jobs))
-            return super().run_batch(jobs)
+            return super().results(jobs)
 
     monkeypatch.setattr(pool, "WorkerPool", CountingPool)
     sizing = bisect_population_size(trap_problem(6, 3, 1.0), "gp", 11, n_runs=5, workers=2)
@@ -317,6 +316,43 @@ def test_collect_batch_ends_at_the_first_ending_run_in_seed_order():
     assert collect_batch(run() for run in []) == []
 
 
+def test_collect_batch_closes_the_stream_it_reads():
+    closed = []
+
+    def stream():
+        try:
+            yield from (RunResult(ok, 1, 0, 0.0) for ok in (True, False, True))
+        finally:
+            closed.append(True)
+
+    results = stream()  # held here, so only collect_batch can close it
+    assert [r.success for r in collect_batch(results)] == [True, False]
+    assert closed == [True]
+
+
+def test_closing_a_pooled_stream_ends_its_batch(monkeypatch):
+    def run(problem, cfg, observer=None):
+        if cfg.seed == 0:
+            return RunResult(True, 0, 0, 0.0)
+        for generation in range(2000):  # 20 s unless abandoned
+            observer(generation, [])
+            time.sleep(0.01)
+        return RunResult(True, 0, generation, 0.0)
+
+    monkeypatch.setattr(harness, "run_gp", run)  # inherited by forked workers
+    jobs = [("gp", order_problem(3), GpConfig(pop_size=16, max_depth=3, seed=i))
+            for i in range(4)]
+    t0 = time.perf_counter()
+    with harness.worker_pool(2) as open_pool:
+        stream = open_pool.results(jobs)
+        assert next(stream) == RunResult(True, 0, 0, 0.0)
+        stream.close()
+        assert open_pool.finished.value == open_pool.batches == 1
+    # closing the pool joins the worker that was running run 1
+    assert time.perf_counter() - t0 < 10.0
+    assert multiprocessing.active_children() == []
+
+
 def test_pooled_batch_starts_no_run_past_the_deciding_one(monkeypatch):
     starts = multiprocessing.Value("i", 0)  # before the pool forks, so workers share it
 
@@ -352,6 +388,21 @@ def test_one_worker_sweep_loads_no_pool_code():
 def test_batch_success_rejects_unknown_algorithm():
     with pytest.raises(ValueError):
         batch_success(order_problem(2), "annealing", 8, n_runs=1)
+
+
+def test_batch_success_rejects_a_depth_budget_no_optimum_fits(monkeypatch):
+    started = []
+
+    def run(problem, cfg, observer=None):
+        started.append(cfg.max_depth)
+        return RunResult(True, 1, 0, 0.0)
+
+    monkeypatch.setattr(harness, "run_gp", run)
+    with pytest.raises(ValueError, match="max_depth 2 .*l=8.* 3"):
+        batch_success(order_problem(8), "gp", 16, n_runs=1, max_depth=2)
+    assert started == []
+    assert batch_success(order_problem(8), "gp", 16, n_runs=1, max_depth=3)[0]
+    assert started == [3]
 
 
 def test_batch_success_rejects_an_empty_batch():
@@ -404,6 +455,7 @@ def test_build_plan_variants():
     ("trap", dict(delta=2.0)),
     ("order", dict(sizes=(3, 0))),
     ("junk-fixed-l", dict(sizes=(5, -1))),
+    ("trap", dict(algorithms=(), sizes=(7,))),
 ])
 def test_build_plan_checks_every_cell_with_the_problem_rules(name, kwargs):
     with pytest.raises(ValueError):
@@ -463,7 +515,11 @@ def test_csv_round_trip(tmp_path):
     path = tmp_path / "rows.csv"
     write_csv(rows, path)
     text = path.read_text()
-    assert text.splitlines()[0] == CSV_HEADER
+    # the column order perfbench's checks and read_csv rely on
+    assert text.splitlines()[0] == (
+        "algorithm,problem,l,num_junk,neg_join,k,delta,max_depth,pop_size,"
+        "avg_evaluations,success_rate,seed_base"
+    )
     assert read_csv(path) == rows
 
 
