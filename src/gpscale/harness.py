@@ -2,8 +2,10 @@
 
 Sizing follows bracket-and-halve: double from 16 until a full batch of runs
 succeeds, then bisect (even population sizes only) until the bracket is
-within 10% of its succeeding bound.  Sweeps size every (algorithm, instance)
-cell of a plan and emit a CSV plus a log-log SVG plot.
+within 10% of its succeeding bound.  :func:`next_probe` picks each size from
+the probe history alone, and :func:`bisect_population_size` runs the batches.
+Sweeps size every (algorithm, instance) cell of a plan and emit a CSV plus a
+log-log SVG plot.
 
 With ``workers > 1`` runs execute in worker processes that live for one
 top-level call (every plan of a ``gpscale sweep``, or one sweep, sizing or
@@ -39,8 +41,6 @@ BRACKET_FRACTION = 0.10
 # Spreads the per-size seed streams apart so no two probe sizes share seeds.
 _SIZE_SEED_STRIDE = 1_000_003
 _ROW_SEED_STRIDE = 1_000_000
-
-BatchFn = Callable[[int], tuple[bool, list[RunResult]]]
 
 
 class SizingFailure(Exception):
@@ -186,42 +186,23 @@ def _mean_evaluations(results: Sequence[RunResult]) -> float:
     return statistics.fmean(solved) if solved else 0.0
 
 
-def bisect_min_size(batch: BatchFn, *, ceiling: int = DEFAULT_POP_CEILING) -> SizingResult:
-    """Smallest population size (to a 10% bracket) at which ``batch`` fully
-    succeeds; ``batch`` must be statistically monotone in population size.
+def next_probe(history: Sequence[tuple[int, bool]], ceiling: int) -> int | None:
+    """The next population size to probe after ``history``, or None when the
+    sizing is over; ``history`` holds the ``(size, passed)`` probes so far.
 
-    One loop probes sizes between ``lo``, the largest failing size (2 until a
-    probe fails), and ``hi``, the smallest succeeding one (0 until a probe
-    succeeds).  It doubles from ``START_POP`` while ``hi`` is 0, raising
-    :class:`SizingFailure` past ``ceiling``, then bisects on even midpoints
-    until the bracket is within 10% of ``hi`` or holds no even size.
+    ``lo`` is the largest failing size (2 if none failed) and ``hi`` the
+    smallest passing one (0 if none passed).  Until a probe passes, sizes
+    double from ``START_POP`` up to ``ceiling``; after that, even midpoints
+    bisect the bracket until it is within 10% of ``hi`` or holds no even size.
     """
-    if ceiling < START_POP:
-        raise ValueError(f"ceiling {ceiling} is below the starting size {START_POP}")
-    history: list[tuple[int, bool]] = []
-    lo = 2
-    hi = 0
-    best_results: list[RunResult] = []
-    n = START_POP
-    while True:
-        ok, results = batch(n)
-        history.append((n, ok))
-        if ok:
-            hi = n
-            best_results = results
-        elif not hi and n * 2 > ceiling:
-            raise SizingFailure(ceiling, n, results, history)
-        else:
-            lo = n
-        if not hi:
-            n *= 2
-            continue
-        if hi - lo <= BRACKET_FRACTION * hi:
-            break
-        n = _nearest_even((lo + hi) / 2)
-        if n <= lo or n >= hi:
-            break  # no even size strictly inside the bracket
-    return SizingResult(hi, _mean_evaluations(best_results), tuple(best_results), tuple(history))
+    if not history:
+        return START_POP
+    lo = max((n for n, ok in history if not ok), default=2)
+    hi = min((n for n, ok in history if ok), default=0)
+    if not hi:
+        return 2 * lo if 2 * lo <= ceiling else None
+    n = _nearest_even((lo + hi) / 2)
+    return n if hi - lo > BRACKET_FRACTION * hi and lo < n < hi else None
 
 
 def bisect_population_size(
@@ -235,26 +216,40 @@ def bisect_population_size(
     ceiling: int = DEFAULT_POP_CEILING,
     workers: int = 1,
 ) -> SizingResult:
-    """Size ``algo`` on ``problem``; each probed size gets its own seed stream.
+    """Smallest population size (to a 10% bracket) at which a whole batch of
+    ``algo`` solves ``problem``.
 
-    Only the final, fully successful batch feeds the reported average; the
-    returned result always contains ``n_runs`` successful runs.
+    Each probe is one :func:`batch_success` batch at the size
+    :func:`next_probe` picks from the probe history, seeded on its own stream
+    per size.  So the probed sizes depend on the history alone, and its
+    ``(size, passed)`` pairs replay the sizing.  The result holds the
+    smallest passing size's full batch, which alone feeds the reported
+    average.  A sizing whose every probe up to ``ceiling`` failed raises
+    :class:`SizingFailure`.
     """
-
-    def batch(pop_size: int) -> tuple[bool, list[RunResult]]:
-        return batch_success(
-            problem,
-            algo,
-            pop_size,
-            n_runs,
-            seed_base + _SIZE_SEED_STRIDE * pop_size,
-            max_depth=max_depth,
-            max_generations=max_generations,
-            workers=workers,
-        )
-
+    if ceiling < START_POP:
+        raise ValueError(f"ceiling {ceiling} is below the starting size {START_POP}")
+    history: list[tuple[int, bool]] = []
+    passed: dict[int, list[RunResult]] = {}
     with worker_pool(workers):
-        return bisect_min_size(batch, ceiling=ceiling)
+        while (n := next_probe(history, ceiling)) is not None:
+            ok, results = batch_success(
+                problem,
+                algo,
+                n,
+                n_runs,
+                seed_base + _SIZE_SEED_STRIDE * n,
+                max_depth=max_depth,
+                max_generations=max_generations,
+                workers=workers,
+            )
+            history.append((n, ok))
+            if ok:
+                passed[n] = results
+    if not passed:
+        raise SizingFailure(ceiling, history[-1][0], results, history)
+    hi = min(passed)
+    return SizingResult(hi, _mean_evaluations(passed[hi]), tuple(passed[hi]), tuple(history))
 
 
 @dataclass(frozen=True)

@@ -100,9 +100,11 @@ class WorkerPool:
             for index in range(len(jobs)):
                 while index not in replies:
                     while self.idle and sent < len(jobs):
-                        conn = self.idle.pop()
-                        conn.send((batch, jobs[sent]))
-                        self.busy[conn] = sent
+                        try:  # the worker stays listed, so close() closes its end
+                            self.idle[-1].send((batch, jobs[sent]))
+                        except OSError as exc:
+                            raise BrokenProcessPool("a pool worker exited between runs") from exc
+                        self.busy[self.idle.pop()] = sent
                         sent += 1
                     self._receive(batch, replies)
                 outcome = replies.pop(index)

@@ -10,13 +10,14 @@ import os
 import random
 from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from gpscale import harness
 from gpscale.cli import main as cli_main
 from gpscale.harness import (
     SizingFailure,
-    bisect_min_size,
     bisect_population_size,
     build_plan,
     scalability_sweep,
@@ -186,7 +187,12 @@ def test_c05_bisection_correctness_against_stub():
             ok = pop_size >= 73
             return ok, [RunResult(ok, pop_size, 1, 1.0)] * 30
 
-        sizing = bisect_min_size(stub)
+        def batch(problem, algo, pop_size, *args, **kwargs):
+            return stub(pop_size)
+
+        # the stub stands in for every probe batch of the production sizing
+        with mock.patch.object(harness, "batch_success", batch):
+            sizing = bisect_population_size(order_problem(1), "gp")
         assert 73 <= sizing.min_pop_size <= 80
         failures = [n for n, ok in sizing.history if not ok]
         assert sizing.min_pop_size - max(failures) <= 0.10 * sizing.min_pop_size

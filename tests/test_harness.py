@@ -1,6 +1,8 @@
 import csv
+import itertools
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -9,6 +11,7 @@ import xml.etree.ElementTree as ET
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import get_type_hints
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,11 +24,11 @@ from gpscale.harness import (
     SweepPlan,
     SweepRow,
     batch_success,
-    bisect_min_size,
     bisect_population_size,
     build_plan,
     collect_batch,
     emit_report,
+    next_probe,
     read_csv,
     render_log_log_svg,
     scalability_sweep,
@@ -45,8 +48,20 @@ def _stub_batch(threshold, n_runs=30):
     return batch
 
 
+def _size(stub, ceiling=harness.DEFAULT_POP_CEILING):
+    """Size through ``bisect_population_size`` with ``stub(pop_size) -> (ok,
+    results)`` standing in for every probe batch.  A patch that ends with the
+    call, not a fixture, so Hypothesis examples each get a fresh one."""
+
+    def batch(problem, algo, pop_size, *args, **kwargs):
+        return stub(pop_size)
+
+    with mock.patch.object(harness, "batch_success", batch):
+        return bisect_population_size(order_problem(1), "gp", ceiling=ceiling)
+
+
 def test_bisect_against_hidden_threshold_73():
-    sizing = bisect_min_size(_stub_batch(73))
+    sizing = _size(_stub_batch(73))
     assert 73 <= sizing.min_pop_size <= 80
     assert sizing.min_pop_size % 2 == 0
     # bracket: the largest probed failure sits within 10% of the answer
@@ -58,7 +73,7 @@ def test_bisect_against_hidden_threshold_73():
 @settings(max_examples=100, deadline=None)
 def test_bisect_is_correct_for_any_monotone_predicate(threshold):
     batch = _stub_batch(threshold, n_runs=5)
-    sizing = bisect_min_size(batch)
+    sizing = _size(batch)
     n = sizing.min_pop_size
     assert n >= threshold  # returned size succeeds
     assert n % 2 == 0
@@ -73,7 +88,7 @@ def test_bisect_is_correct_for_any_monotone_predicate(threshold):
 
 
 def test_bisect_returns_the_full_successful_batch():
-    sizing = bisect_min_size(_stub_batch(100))
+    sizing = _size(_stub_batch(100))
     assert len(sizing.runs) == 30
     assert all(r.success for r in sizing.runs)
     assert sizing.avg_evaluations == sizing.min_pop_size * 3
@@ -84,14 +99,14 @@ def test_bisect_raises_past_the_ceiling():
         return False, [RunResult(False, pop_size, 0, 0.0)] * 3
 
     with pytest.raises(SizingFailure) as exc:
-        bisect_min_size(never, ceiling=128)
+        _size(never, ceiling=128)
     failure = exc.value
     assert failure.ceiling == 128
     assert failure.last_pop_size == 128
     assert failure.success_rate == 0.0
     assert [n for n, _ in failure.history] == [16, 32, 64, 128]
     with pytest.raises(ValueError):
-        bisect_min_size(never, ceiling=8)  # below the starting size
+        _size(never, ceiling=8)  # below the starting size
 
 
 @given(data=st.data(), ceiling=st.integers(16, 2**20))
@@ -112,7 +127,7 @@ def test_bisect_keeps_a_consistent_bracket_under_noisy_batches(data, ceiling):
         return results[-1].success, results
 
     try:
-        sizing = bisect_min_size(batch, ceiling=ceiling)
+        sizing = _size(batch, ceiling=ceiling)
     except SizingFailure as failure:
         sizes = [n for n, _ in failure.history]
         assert sizes == [16 * 2**i for i in range(len(sizes))]
@@ -136,6 +151,84 @@ def test_bisect_keeps_a_consistent_bracket_under_noisy_batches(data, ceiling):
     assert sizing.runs == tuple(batches[hi])
     assert sizing.avg_evaluations == hi + 2
     assert hi - lo <= 0.10 * hi or all(n % 2 for n in range(lo + 1, hi))
+
+
+def _reference_bisect(batch, *, ceiling=harness.DEFAULT_POP_CEILING):
+    """The sizing loop as it stood before ``next_probe``, kept as an oracle."""
+    if ceiling < harness.START_POP:
+        raise ValueError(f"ceiling {ceiling} is below the starting size {harness.START_POP}")
+    history = []
+    lo = 2
+    hi = 0
+    best_results = []
+    n = harness.START_POP
+    while True:
+        ok, results = batch(n)
+        history.append((n, ok))
+        if ok:
+            hi = n
+            best_results = results
+        elif not hi and n * 2 > ceiling:
+            raise SizingFailure(ceiling, n, results, history)
+        else:
+            lo = n
+        if not hi:
+            n *= 2
+            continue
+        if hi - lo <= harness.BRACKET_FRACTION * hi:
+            break
+        n = harness._nearest_even((lo + hi) / 2)
+        if n <= lo or n >= hi:
+            break  # no even size strictly inside the bracket
+    return harness.SizingResult(
+        hi, harness._mean_evaluations(best_results), tuple(best_results), tuple(history)
+    )
+
+
+def _scripted_batches(threshold, flips):
+    """A fresh stub: probe i passes if ``flips[i]`` says so, and once the flips
+    run out, if its size is at least ``threshold``.  Each batch's runs differ
+    by size and probe, and a failing one ends at its first failed run."""
+    calls = itertools.count()
+
+    def batch(pop_size):
+        i = next(calls)
+        ok = flips[i] if i < len(flips) else pop_size >= threshold
+        results = [RunResult(True, pop_size + j, 1, 1.0) for j in range(i % 4)]
+        results.append(RunResult(ok, pop_size * 3 + i, 2, 0.5))
+        return ok, results
+
+    return batch
+
+
+@given(
+    threshold=st.integers(2, 2**21),
+    flips=st.lists(st.booleans(), max_size=30),
+    ceiling=st.integers(16, 2**20) | st.sampled_from([16 * 2**i for i in range(17)]),
+)
+@settings(max_examples=300, deadline=None)
+def test_sizing_matches_the_reference_loop_and_replays_from_its_history(
+    threshold, flips, ceiling
+):
+    try:
+        expected = _reference_bisect(_scripted_batches(threshold, flips), ceiling=ceiling)
+    except SizingFailure as reference:
+        with pytest.raises(SizingFailure) as exc:
+            _size(_scripted_batches(threshold, flips), ceiling=ceiling)
+        failure = exc.value
+        assert str(failure) == str(reference)
+        assert (failure.ceiling, failure.last_pop_size) == (ceiling, reference.last_pop_size)
+        assert failure.last_results == reference.last_results
+        history = failure.history
+        assert history == reference.history
+    else:
+        sizing = _size(_scripted_batches(threshold, flips), ceiling=ceiling)
+        assert sizing == expected
+        history = list(sizing.history)
+    # the probe history alone decides every probe, and when the sizing ends
+    for i, (pop_size, _) in enumerate(history):
+        assert next_probe(history[:i], ceiling) == pop_size
+    assert next_probe(history, ceiling) is None
 
 
 def test_sizing_failure_says_where_the_last_batch_stopped():
@@ -498,6 +591,21 @@ def test_crashed_worker_fails_the_sweep(monkeypatch):
     monkeypatch.setattr(harness, "run_gp", crash)  # inherited by forked workers
     with pytest.raises(BrokenProcessPool):
         scalability_sweep(_tiny_plan(), workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_that_died_between_runs_breaks_the_pool():
+    problem = order_problem(3)
+    with harness.worker_pool(2) as open_pool:
+        assert batch_success(problem, "gp", 16, n_runs=4, workers=2)[0]
+        conns = open_pool.idle + list(open_pool.busy)
+        dead = open_pool.processes[0]
+        os.kill(dead.pid, signal.SIGKILL)
+        dead.join()
+        # both workers are idle, so the next batch sends a run to the dead one
+        with pytest.raises(BrokenProcessPool, match="between runs"):
+            batch_success(problem, "gp", 16, n_runs=4, workers=2)
+    assert len(conns) == 2 and all(conn.closed for conn in conns)
     assert multiprocessing.active_children() == []
 
 
