@@ -28,11 +28,15 @@ DIGEST = re.compile(r"^digest .* csv=(\S+) runs=(\S+)$", re.MULTILINE)
 
 
 def seed_list(text: str) -> list[int]:
-    """``"8501-8503,8601"`` -> ``[8501, 8502, 8503, 8601]``."""
+    """``"8501-8503,8601"`` -> ``[8501, 8502, 8503, 8601]``; a range that
+    ends below its start is an argparse type error, as it holds no seed."""
     seeds: list[int] = []
     for part in text.split(","):
         first, _, last = part.partition("-")
-        seeds += range(int(first), int(last or first) + 1)
+        span = range(int(first), int(last or first) + 1)
+        if not span:
+            raise argparse.ArgumentTypeError(f"range {part} ends below its start")
+        seeds += span
     return seeds
 
 

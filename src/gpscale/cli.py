@@ -16,8 +16,7 @@ from . import harness
 from .gp import DEFAULT_MAX_GENERATIONS, GpConfig
 from .pipe import dump_model
 from .problems import ProblemSpec, evaluate, express, order_problem, trap_problem
-from .trees import (default_max_depth, inorder_leaves, minimum_optimum_depth, parse_tree,
-                    validate_tree)
+from .trees import depth_budget, inorder_leaves, parse_tree, validate_tree
 
 
 def _print_kv(**pairs) -> None:
@@ -141,15 +140,11 @@ def _build_problem(args, parser: argparse.ArgumentParser) -> ProblemSpec:
 
 
 def _max_depth(args, parser: argparse.ArgumentParser) -> int:
-    """``--max-depth``, derived from ``--l`` by default.  One that no optimum
-    fits in is a usage error, as every run at it would fail."""
-    if args.max_depth is None:
-        return default_max_depth(args.l)
-    least = minimum_optimum_depth(args.l)
-    if args.max_depth < least:
-        parser.error(f"--max-depth: no tree {args.max_depth} edges deep holds the "
-                     f"{args.l} leaves of an optimum; use at least {least}")
-    return args.max_depth
+    """``--max-depth``, by default derived from ``--l``; one no optimum fits is a usage error."""
+    try:
+        return depth_budget(args.l, args.max_depth)
+    except ValueError as err:
+        parser.error(f"--max-depth: {err}")
 
 
 def _cmd_run(args, parser) -> int:
@@ -228,8 +223,6 @@ def _cmd_sweep(args, parser) -> int:
             sizes = tuple(int(tok) for tok in args.sizes.split(",") if tok)
         except ValueError:
             parser.error(f"--sizes: expected comma-separated integers, got {args.sizes!r}")
-        if not sizes:
-            parser.error("--sizes: empty size list")
     names = harness.PLAN_NAMES if args.plan == "all" else (args.plan,)
     try:  # every plan is built before any run, so a bad size fails at once
         plans = [

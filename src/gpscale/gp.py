@@ -38,6 +38,8 @@ class GpConfig:
             raise ValueError(f"max_depth must be >= 0, got {self.max_depth}")
         if self.max_generations < 0:
             raise ValueError(f"max_generations must be >= 0, got {self.max_generations}")
+        if self.seed < 0:  # random.Random seeds with abs(seed), so -s would replay s
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence, get_type_hints
 from .gp import DEFAULT_MAX_GENERATIONS, GpConfig, RunResult, run_gp
 from .pipe import run_pipe
 from .problems import ProblemSpec, order_problem, trap_problem
-from .trees import Node, default_max_depth, minimum_optimum_depth
+from .trees import Node, depth_budget
 
 if TYPE_CHECKING:
     from .pool import WorkerPool
@@ -161,11 +161,7 @@ def batch_success(
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    num_pairs = problem.primitives.num_pairs
-    if max_depth is None:
-        max_depth = default_max_depth(num_pairs)
-    elif max_depth < (least := minimum_optimum_depth(num_pairs)):
-        raise ValueError(f"max_depth {max_depth} fits no optimum at l={num_pairs}; use >= {least}")
+    max_depth = depth_budget(problem.primitives.num_pairs, max_depth)
     jobs = [
         (algo, problem, GpConfig(pop_size, max_depth, max_generations, seed=seed_base + i))
         for i in range(n_runs)
@@ -272,7 +268,7 @@ class RowSpec:
         return order_problem(self.l, self.num_junk, self.neg_join)
 
     def resolved_max_depth(self) -> int:
-        return self.max_depth if self.max_depth is not None else default_max_depth(self.l)
+        return depth_budget(self.l, self.max_depth)
 
 
 @dataclass(frozen=True)
@@ -333,7 +329,8 @@ def build_plan(
     ``order``/``trap``/``order-neg`` sweep problem size; ``order-junk`` adds
     l/5 junk terminals per size; ``junk-fixed-l`` holds l=20 and sweeps the
     junk count at depth budgets 6 and 7.  ``sizes`` overrides the swept list
-    (problem sizes, or junk counts for ``junk-fixed-l``).  Rows run cell by
+    (problem sizes, or junk counts for ``junk-fixed-l``); None keeps the
+    plan's own list, and an empty one raises ValueError.  Rows run cell by
     cell, one per algorithm.  Each cell's problem is built here, so a size,
     ``k`` or ``delta`` it rejects raises ValueError naming the plan before
     any run.
@@ -343,6 +340,8 @@ def build_plan(
     for algo in algorithms:
         if algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
+    if sizes is not None and not sizes:
+        raise ValueError(f"plan {name}: empty size list")
     if name == "order":
         cells = [dict(problem="order", l=l) for l in sizes or _ORDER_SIZES]
     elif name == "trap":
@@ -386,14 +385,14 @@ def scalability_sweep(
     batch, which stopped at its first failure: after m solved runs the rate
     reads m/(m+1), not a measured rate, and the average covers those m runs.
 
-    With ``workers > 1`` one process pool serves the whole sweep.  An error
-    from a run, or a crashed worker (``BrokenProcessPool``), fails the sweep.
+    With ``workers > 1`` one process pool serves the whole sweep.  A row's bad
+    problem or depth budget raises ValueError before any run; an error from a
+    run, or a crashed worker (``BrokenProcessPool``), fails the sweep.
     """
+    cells = [(spec, spec.problem_spec(), spec.resolved_max_depth()) for spec in plan.rows]
     out: list[SweepRow] = []
     with worker_pool(workers):
-        for spec in plan.rows:
-            problem = spec.problem_spec()
-            max_depth = spec.resolved_max_depth()
+        for spec, problem, max_depth in cells:
             try:
                 sizing = bisect_population_size(
                     problem,

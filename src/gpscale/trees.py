@@ -137,9 +137,15 @@ def minimum_optimum_depth(num_pairs: int) -> int:
     return (num_pairs - 1).bit_length()
 
 
-def default_max_depth(num_pairs: int) -> int:
-    """Run depth budget: one more than the smallest tree holding the optimum."""
-    return minimum_optimum_depth(num_pairs) + 1
+def depth_budget(num_pairs: int, max_depth: int | None = None) -> int:
+    """A run's tree depth budget: ``max_depth``, by default one more than the
+    least depth of an optimum; one below that least depth raises ValueError."""
+    least = minimum_optimum_depth(num_pairs)
+    if max_depth is None:
+        return least + 1
+    if max_depth < least:
+        raise ValueError(f"max_depth {max_depth} fits no optimum at l={num_pairs}; use >= {least}")
+    return max_depth
 
 
 def generate_random_tree(

@@ -19,9 +19,15 @@ END_TO_END = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text(
 HEX16 = re.compile(r"[0-9a-f]{16}")
 
 
-def test_seed_list_expands_ranges_and_single_seeds():
+def test_seed_list_expands_ranges_and_single_seeds(tmp_path):
     assert bench_record.seed_list("8501-8503,8601") == [8501, 8502, 8503, 8601]
     assert bench_record.seed_list("7") == [7]
+    out = tmp_path / "BENCH.json"
+    for text in ("8503-8501", "", ","):  # no seed to record is a usage error
+        with pytest.raises(SystemExit) as exc:
+            bench_record.main(["--out", str(out), "--seeds", text])
+        assert exc.value.code == 2
+    assert not out.exists()
 
 
 # Prints what perfbench/run.py prints: a digest line, then the result JSON last.

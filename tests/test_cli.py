@@ -323,6 +323,7 @@ def _stub_runs(monkeypatch):
     ["sweep", "--plan", "trap", "--k", "1"],
     ["sweep", "--plan", "trap", "--delta", "2"],
     ["sweep", "--plan", "order", "--sizes", "3,0"],
+    ["sweep", "--sizes", ","],
     ["sweep", "--seed", "-1"],
     ["run", "--pop", "3"],
     ["run", "--seed", "-5"],

@@ -33,6 +33,8 @@ def test_config_validation():
         GpConfig(pop_size=0, max_depth=2)
     with pytest.raises(ValueError):
         GpConfig(pop_size=4, max_depth=-1)
+    with pytest.raises(ValueError, match="seed"):  # random.Random(-11) replays seed 11
+        GpConfig(pop_size=4, max_depth=2, seed=-11)
 
 
 def test_tournament_single_individual():

@@ -555,6 +555,12 @@ def test_build_plan_checks_every_cell_with_the_problem_rules(name, kwargs):
         build_plan(name, **kwargs)
 
 
+def test_build_plan_rejects_an_empty_size_override():
+    with pytest.raises(ValueError, match="plan junk-fixed-l: empty size list"):
+        build_plan("junk-fixed-l", sizes=())
+    assert build_plan("order", sizes=None).rows == build_plan("order").rows
+
+
 def _tiny_plan(seed_base=0):
     return build_plan("order", sizes=(2, 3), seed_base=seed_base, n_runs=5)
 
@@ -575,6 +581,21 @@ def test_pooled_sweep_matches_one_worker_on_failing_probes(name, size):
     assert any(r.pop_size > harness.START_POP for r in rows)  # some probes failed
     assert scalability_sweep(plan, workers=2) == rows
     assert multiprocessing.active_children() == []
+
+
+def test_sweep_checks_every_row_depth_budget_before_any_run(monkeypatch):
+    started = []
+
+    def run(problem, cfg, observer=None):
+        started.append(cfg.seed)
+        return RunResult(True, 1, 0, 0.0)
+
+    monkeypatch.setattr(harness, "run_gp", run)
+    plan = SweepPlan("bad", (RowSpec("gp", "order", 3), RowSpec("gp", "order", 8, max_depth=2)),
+                     n_runs=2)
+    with pytest.raises(ValueError, match="max_depth 2 fits no optimum at l=8; use >= 3"):
+        scalability_sweep(plan)
+    assert started == []
 
 
 def test_pooled_sweep_error_reaches_the_caller_and_reaps_workers():

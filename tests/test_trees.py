@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from gpscale.primitives import JOIN, NEG_JOIN, PrimitiveSet, arity
 from gpscale.trees import (
     Node,
-    default_max_depth,
+    depth_budget,
     format_tree,
     generate_random_tree,
     inorder_leaves,
@@ -107,7 +107,7 @@ def _min_depth_by_enumeration(num_pairs):
 
 def test_minimum_optimum_depth():
     assert minimum_optimum_depth(20) == 5
-    assert default_max_depth(20) == 6
+    assert depth_budget(20) == 6
     assert minimum_optimum_depth(1) == 0
     assert minimum_optimum_depth(33) == _min_depth_by_enumeration(33) == 6
     with pytest.raises(ValueError):
@@ -117,6 +117,15 @@ def test_minimum_optimum_depth():
 @given(st.integers(1, 1000))
 def test_minimum_optimum_depth_matches_enumeration(num_pairs):
     assert minimum_optimum_depth(num_pairs) == _min_depth_by_enumeration(num_pairs)
+
+
+def test_depth_budget_defaults_above_the_least_depth_and_rejects_below_it():
+    for num_pairs in range(1, 65):
+        least = minimum_optimum_depth(num_pairs)
+        assert depth_budget(num_pairs) == least + 1
+        assert depth_budget(num_pairs, least) == least
+        with pytest.raises(ValueError, match=f"max_depth {least - 1} fits no optimum"):
+            depth_budget(num_pairs, least - 1)
 
 
 def test_full_at_limit_zero_is_a_single_terminal():
