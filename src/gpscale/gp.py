@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .problems import Evaluator, ProblemSpec, optimum_reachable
-from .trees import Node, ramped_half_and_half
+from .trees import Node, ramped_half_and_half, randbelow
 
 # Generations between checks that the optimum is still reachable from the
 # symbols left in the population (a lost symbol can never reappear).
@@ -54,8 +54,8 @@ def binary_tournament(fitness: list[float], rng: random.Random) -> int:
     """Index of the winner of two draws from ``fitness``, uniform with
     replacement; the fitter one wins, ties decided by a fair coin."""
     n = len(fitness)
-    a = rng.randrange(n)
-    b = rng.randrange(n)
+    a = randbelow(rng, n)
+    b = randbelow(rng, n)
     if fitness[a] > fitness[b]:
         return a
     if fitness[b] > fitness[a]:
@@ -63,10 +63,13 @@ def binary_tournament(fitness: list[float], rng: random.Random) -> int:
     return a if rng.random() < 0.5 else b
 
 
-def _pick_point(tree: Node, bias: float, rng: random.Random) -> tuple[Node, list[int]]:
+def _pick_point(
+    tree: Node, bias: float, rng: random.Random
+) -> tuple[Node, list[tuple[Node, int]]]:
     """Crossover point: with probability ``bias``, if the tree has an internal
     node, the k-th internal node in preorder, else the k-th leaf, k uniform
-    within the class; returns (node, child-index path).
+    within the class; returns the node and the spine the pick descended, one
+    ``(ancestor, child index)`` pair per edge from the root down.
 
     With arity-2 functions a subtree of size s holds (s - 1) // 2 internal
     nodes and (s + 1) // 2 leaves, so ``(s - shift) // 2`` counts the chosen
@@ -74,8 +77,8 @@ def _pick_point(tree: Node, bias: float, rng: random.Random) -> tuple[Node, list
     """
     internal = tree.size > 1 and rng.random() < bias
     shift = 1 if internal else -1
-    k = rng.randrange((tree.size - shift) // 2)
-    path: list[int] = []
+    k = randbelow(rng, (tree.size - shift) // 2)
+    spine: list[tuple[Node, int]] = []
     node = tree
     while node.children:
         if internal:  # in preorder a node precedes its subtrees
@@ -85,27 +88,22 @@ def _pick_point(tree: Node, bias: float, rng: random.Random) -> tuple[Node, list
         left, right = node.children
         left_count = (left.size - shift) // 2
         if k < left_count:
-            path.append(0)
+            spine.append((node, 0))
             node = left
         else:
             k -= left_count
-            path.append(1)
+            spine.append((node, 1))
             node = right
-    return node, path
+    return node, spine
 
 
-def _graft(tree: Node, path: list[int], replacement: Node) -> Node:
-    """New tree with the subtree at ``path`` replaced; everything off the
-    path is shared with the original.  (A loop, not a recursive closure: a
-    closure that calls itself is a reference cycle, which would keep each
-    graft's subtrees alive until the next garbage collection.)"""
-    spine: list[Node] = []
-    node = tree
-    for step in path:
-        spine.append(node)
-        node = node.children[step]
-    for step in reversed(path):
-        node = spine.pop()
+def _graft(spine: list[tuple[Node, int]], replacement: Node) -> Node:
+    """New tree with ``replacement`` at the end of ``spine`` (as
+    :func:`_pick_point` returns it): one new node per spine entry, everything
+    off the spine shared with the original.  (A loop, not a recursive
+    closure: a closure that calls itself is a reference cycle, which would
+    keep each graft's subtrees alive until the next garbage collection.)"""
+    for node, step in reversed(spine):
         left, right = node.children
         replacement = Node(
             node.symbol, (replacement, right) if step == 0 else (left, replacement)
@@ -126,10 +124,10 @@ def subtree_crossover(
     bias = INTERNAL_NODE_BIAS
     max_depth = cfg.max_depth
     for _ in range(CROSSOVER_RETRIES + 1):
-        sub1, path1 = _pick_point(p1, bias, rng)
-        sub2, path2 = _pick_point(p2, bias, rng)
-        if len(path1) + sub2.depth <= max_depth and len(path2) + sub1.depth <= max_depth:
-            return _graft(p1, path1, sub2), _graft(p2, path2, sub1)
+        sub1, spine1 = _pick_point(p1, bias, rng)
+        sub2, spine2 = _pick_point(p2, bias, rng)
+        if len(spine1) + sub2.depth <= max_depth and len(spine2) + sub1.depth <= max_depth:
+            return _graft(spine1, sub2), _graft(spine2, sub1)
     return p1, p2
 
 

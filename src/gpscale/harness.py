@@ -89,11 +89,14 @@ def run_algorithm(
 ) -> RunResult:
     """One run of ``algo``; further keyword arguments go to the engine, such
     as :func:`run_pipe`'s ``model_observer``."""
-    if algo == "gp":
-        return run_gp(problem, cfg, observer, **engine_options)
-    if algo == "pipe":
-        return run_pipe(problem, cfg, observer, **engine_options)
-    raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
+    _check_algorithm(algo)
+    engine = run_gp if algo == "gp" else run_pipe
+    return engine(problem, cfg, observer, **engine_options)
+
+
+def _check_algorithm(algo: str) -> None:
+    if algo not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
 
 
 _open_pool: ContextVar[WorkerPool | None] = ContextVar("_open_pool", default=None)
@@ -338,8 +341,7 @@ def build_plan(
     if not algorithms:
         raise ValueError(f"no algorithm given; expected some of {ALGORITHMS}")
     for algo in algorithms:
-        if algo not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
+        _check_algorithm(algo)
     if sizes is not None and not sizes:
         raise ValueError(f"plan {name}: empty size list")
     if name == "order":
@@ -385,11 +387,15 @@ def scalability_sweep(
     batch, which stopped at its first failure: after m solved runs the rate
     reads m/(m+1), not a measured rate, and the average covers those m runs.
 
-    With ``workers > 1`` one process pool serves the whole sweep.  A row's bad
-    problem or depth budget raises ValueError before any run; an error from a
-    run, or a crashed worker (``BrokenProcessPool``), fails the sweep.
+    With ``workers > 1`` one process pool serves the whole sweep.  A row's
+    unknown algorithm, bad problem or bad depth budget raises ValueError
+    before any run; an error from a run, or a crashed worker
+    (``BrokenProcessPool``), fails the sweep.
     """
-    cells = [(spec, spec.problem_spec(), spec.resolved_max_depth()) for spec in plan.rows]
+    cells = []
+    for spec in plan.rows:
+        _check_algorithm(spec.algorithm)
+        cells.append((spec, spec.problem_spec(), spec.resolved_max_depth()))
     out: list[SweepRow] = []
     with worker_pool(workers):
         for spec, problem, max_depth in cells:

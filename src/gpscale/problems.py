@@ -58,18 +58,21 @@ class ProblemSpec:
     def _trap_table(self) -> tuple[float, ...]:
         return tuple(trap_subfunction(u, self.trap) for u in range(self.trap.k + 1))
 
+    @cached_property
+    def _pair_mask(self) -> int:
+        return (1 << self.primitives.num_pairs) - 1
+
     def mask_fitness(self, eff: int) -> float:
         """Fitness of the expressed bit vector whose bit i is ``eff >> i & 1``:
         one unit per expressed positive terminal on ORDER, the sum of the trap
         subfunction over consecutive k-bit groups on TRAP."""
-        l = self.primitives.num_pairs
         if self.trap is None:
-            return float((eff & ((1 << l) - 1)).bit_count())
+            return float((eff & self._pair_mask).bit_count())
         k = self.trap.k
         group = (1 << k) - 1
         table = self._trap_table
         total = 0.0
-        for start in range(0, l, k):
+        for start in range(0, self.primitives.num_pairs, k):
             total += table[(eff >> start & group).bit_count()]
         return total
 
@@ -111,15 +114,15 @@ def evaluate(tree: Node, problem: ProblemSpec) -> float:
 class Evaluator:
     """Fitness function of one run; every call bumps the evaluation counter."""
 
-    __slots__ = ("problem", "evaluations")
+    __slots__ = ("mask_fitness", "evaluations")
 
     def __init__(self, problem: ProblemSpec) -> None:
-        self.problem = problem
+        self.mask_fitness = problem.mask_fitness
         self.evaluations = 0
 
     def __call__(self, tree: Node) -> float:
         self.evaluations += 1
-        return evaluate(tree, self.problem)
+        return self.mask_fitness(tree.summary[2])
 
 
 def optimum_reachable(trees: list[Node], ps: PrimitiveSet) -> bool:

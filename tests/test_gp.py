@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from gpscale import gp
+from gpscale import gp, pipe
 from gpscale.gp import (
     GpConfig,
     binary_tournament,
@@ -15,7 +15,7 @@ from gpscale.gp import (
     subtree_crossover,
 )
 from gpscale.pipe import run_pipe
-from gpscale.problems import evaluate, order_problem, trap_problem
+from gpscale.problems import Evaluator, evaluate, order_problem, trap_problem
 from gpscale.trees import (
     Node,
     format_tree,
@@ -106,11 +106,11 @@ def test_crossover_leaf_swap_can_mix_pairs(monkeypatch):
 
 
 class _ScriptedRng:
-    """random()/randrange() driven by fixed cycles, for forcing pick paths."""
+    """random()/getrandbits() driven by fixed cycles, for forcing pick paths."""
 
-    def __init__(self, random_values, randrange_values):
+    def __init__(self, random_values, getrandbits_values):
         self._random = random_values
-        self._randrange = randrange_values
+        self._getrandbits = getrandbits_values
         self._i = 0
         self._j = 0
 
@@ -119,10 +119,10 @@ class _ScriptedRng:
         self._i += 1
         return v
 
-    def randrange(self, n):
-        v = self._randrange[self._j % len(self._randrange)]
+    def getrandbits(self, k):
+        v = self._getrandbits[self._j % len(self._getrandbits)]
         self._j += 1
-        return v % n
+        return v % (1 << k)
 
 
 def test_crossover_returns_parents_after_retry_exhaustion():
@@ -131,10 +131,33 @@ def test_crossover_returns_parents_after_retry_exhaustion():
     p1 = generate_random_tree(PrimitiveSet(2), 2, "full", random.Random(0))
     p2 = generate_random_tree(PrimitiveSet(2), 2, "full", random.Random(1))
     cfg = GpConfig(pop_size=2, max_depth=2)
-    rng = _ScriptedRng(random_values=[1.0, 0.0], randrange_values=[0, 0])
+    rng = _ScriptedRng(random_values=[1.0, 0.0], getrandbits_values=[0, 0])
     c1, c2 = subtree_crossover(p1, p2, cfg, rng)
     assert c1 is p1
     assert c2 is p2
+
+
+@given(seed=st.integers(0, 2**32), limit=st.integers(0, 5), bias=st.floats(0, 1))
+def test_pick_spine_leads_to_the_pick_and_graft_rebuilds_only_the_spine(seed, limit, bias):
+    ps = PrimitiveSet(3, num_junk=1, neg_join=True)
+    rng = random.Random(seed)
+    tree = generate_random_tree(ps, limit, "grow", rng)
+    replacement = generate_random_tree(ps, 2, "full", rng)
+    picked, spine = gp._pick_point(tree, bias, rng)
+    node = tree
+    for ancestor, step in spine:
+        assert ancestor is node
+        node = node.children[step]
+    assert node is picked
+    grafted = gp._graft(spine, replacement)
+    node = grafted
+    for ancestor, step in spine:
+        assert node is not ancestor and node.symbol == ancestor.symbol
+        assert node.children[1 - step] is ancestor.children[1 - step]  # off the spine
+        node = node.children[step]
+    assert node is replacement
+    old = {id(n) for n in iter_nodes(tree)} | {id(n) for n in iter_nodes(replacement)}
+    assert sum(id(n) not in old for n in iter_nodes(grafted)) == len(spine)
 
 
 @given(
@@ -235,6 +258,39 @@ def test_run_leaves_no_reference_cycles(engine):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("engine", [run_gp, run_pipe], ids=["run_gp", "run_pipe"])
+def test_each_hook_is_called_once_per_selection_crossover_init_and_evaluation(
+    engine, monkeypatch
+):
+    # the benchmark's trace times these attributes, so the hot loop must go
+    # through each of them once per operation
+    calls = Counter()
+
+    def count(owner, attr, name):
+        original = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    count(gp, "binary_tournament", "tournament")
+    count(pipe, "binary_tournament", "tournament")
+    count(gp, "subtree_crossover", "crossover")
+    count(gp, "ramped_half_and_half", "init")
+    count(Evaluator, "__call__", "evaluate")
+    cfg = GpConfig(pop_size=32, max_depth=5, max_generations=5, seed=3)
+    result = engine(order_problem(16), cfg)
+    generations = result.generations_used
+    assert generations == cfg.max_generations  # every generation made offspring
+    assert calls["tournament"] == cfg.pop_size * generations
+    crossovers = cfg.pop_size // 2 * generations if engine is run_gp else 0
+    assert calls["crossover"] == crossovers
+    assert calls["init"] == 1
+    assert calls["evaluate"] == result.evaluations == cfg.pop_size * (generations + 1)
 
 
 def test_run_gp_is_deterministic_per_seed():

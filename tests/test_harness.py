@@ -598,10 +598,28 @@ def test_sweep_checks_every_row_depth_budget_before_any_run(monkeypatch):
     assert started == []
 
 
-def test_pooled_sweep_error_reaches_the_caller_and_reaps_workers():
-    plan = SweepPlan("bad", (RowSpec("annealing", "order", 3),), n_runs=4)
-    with pytest.raises(ValueError, match="annealing"):
-        scalability_sweep(plan, workers=2)
+def test_sweep_checks_every_row_algorithm_before_any_run(monkeypatch):
+    started = []
+
+    def run(problem, cfg, observer=None):
+        started.append(cfg.seed)
+        return RunResult(True, 1, 0, 0.0)
+
+    monkeypatch.setattr(harness, "run_gp", run)
+    plan = SweepPlan("bad", (RowSpec("gp", "order", 3), RowSpec("annealing", "order", 3)),
+                     n_runs=5)
+    with pytest.raises(ValueError, match="unknown algorithm 'annealing'"):
+        scalability_sweep(plan)
+    assert started == []
+
+
+def test_pooled_sweep_error_reaches_the_caller_and_reaps_workers(monkeypatch):
+    def fail(problem, cfg, observer=None):
+        raise ValueError(f"run {cfg.seed} failed")
+
+    monkeypatch.setattr(harness, "run_gp", fail)  # inherited by forked workers
+    with pytest.raises(ValueError, match="failed"):
+        scalability_sweep(_tiny_plan(), workers=2)
     assert multiprocessing.active_children() == []
 
 

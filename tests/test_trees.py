@@ -17,6 +17,7 @@ from gpscale.trees import (
     parse_tree,
     ramp_schedule,
     ramped_half_and_half,
+    randbelow,
     validate_tree,
 )
 
@@ -325,3 +326,15 @@ def test_text_of_a_tree_nested_past_the_recursion_limit_round_trips():
     tree = parse_tree(text)
     assert tree.depth == depth
     assert repr(tree) == text
+
+
+def test_randbelow_draws_exactly_what_randrange_and_choice_draw():
+    # n above 2**32 makes getrandbits read more than one 32-bit word
+    sizes = [*range(1, 301), 2**32 + 1, 3 * 2**40 + 7, 2**62 + 5]
+    ours, theirs = random.Random(1234), random.Random(1234)
+    for _ in range(5):
+        for n in sizes:
+            assert randbelow(ours, n) == theirs.randrange(n)
+            seq = range(n)
+            assert seq[randbelow(ours, len(seq))] == theirs.choice(seq)
+    assert ours.random() == theirs.random()  # both twins are in one state
